@@ -675,9 +675,6 @@ def run_scaling(
                         "candidate_evaluations", 0
                     ),
                     "vector_derives": run["perf"].get("vector_derives", 0),
-                    "donor_cache_hits": run["perf"].get(
-                        "donor_cache_hits", 0
-                    ),
                     "oracle_rebuilds": run["perf"].get("oracle_rebuilds", 0),
                     "oracle_incremental": run["perf"].get(
                         "oracle_incremental", 0

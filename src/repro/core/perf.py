@@ -144,15 +144,10 @@ class PerfCounters:
         (one sorted-list insertion/deletion or coordinate-sum update
         per region mutation).
     vector_derives:
-        Tabu move-pool derivations answered by the numpy backend's
-        batch scorer (:mod:`repro.core.arrays`) instead of the scalar
-        per-candidate loop. Zero under the python backend.
-    donor_cache_hits:
-        Vector derives whose donor-side payload (candidate order, CSR
-        gather geometry, donor feasibility, removal deltas) was reused
-        from the membership-version-keyed cache — the donor was
-        re-derived because a *neighboring* region changed, not its own
-        membership. Zero under the python backend.
+        Donors whose Tabu moves the numpy backend's batch kernel
+        (:mod:`repro.core.arrays`) derived instead of the scalar
+        per-candidate loop — one per donor, however many donors share
+        a batched call. Zero under the python backend.
     pool_task_failures:
         Worker-pool tasks that raised, returned an unpicklable result,
         or died with their worker (each failure is retried or degraded
@@ -209,7 +204,6 @@ class PerfCounters:
         "delta_recompute",
         "objective_struct_updates",
         "vector_derives",
-        "donor_cache_hits",
         "pool_task_failures",
         "pool_task_retries",
         "pool_tasks_degraded",
@@ -237,7 +231,6 @@ class PerfCounters:
         "delta_recompute",
         "objective_struct_updates",
         "vector_derives",
-        "donor_cache_hits",
         "pool_task_failures",
         "pool_task_retries",
         "pool_tasks_degraded",

@@ -620,8 +620,8 @@ class Region:
         building them lazily — the batch counterpart of the cached
         branch of :meth:`_abs_deviation_sum`, used by the vectorized
         Tabu scorer to price many deltas against one region at once.
-        Only meaningful with the hot-path cache gate on (the vector
-        path checks the gate before calling)."""
+        With the hot-path cache gate off every mutation drops the
+        lists, so the first query after it rebuilds them from scratch."""
         perf = self.perf
         values = self._sorted_d
         if values is None:

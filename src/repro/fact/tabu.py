@@ -17,19 +17,16 @@ Classic Tabu mechanics (Glover & Laguna):
   iterations without improving the best ``H`` (paper default: the
   dataset size), or when no admissible move exists.
 
-The candidate-move pool is maintained incrementally: after a move,
-only regions whose state changed (donor, receiver) have their incident
-moves re-derived, mirroring the paper's "update the valid moves …
-in the region updated by the previous move". On top of the pool sits a
-**lazy min-heap index**: every derived move is pushed once, entries are
-invalidated by a per-donor generation stamp instead of being searched
-for, and the per-iteration "best admissible move" query pops a handful
-of entries instead of scanning the entire pool — O(log m) amortized
-versus O(m) per iteration. With the hot-path cache gate off
-(:func:`repro.core.perf.hotpath_caches_enabled`) the pool falls back
-to the exhaustive reference scan; both paths order candidates by the
-same total key ``(delta, area, receiver, donor)``, so the chosen
-trajectory is identical.
+Candidate moves live in a **move table** maintained incrementally:
+after a move, only regions whose state changed (donor, receiver,
+neighbors of the moved area) have their moves re-derived, mirroring
+the paper's "update the valid moves … in the region updated by the
+previous move". Each donor's moves are one row of parallel (delta,
+area, receiver) arrays sorted by the selection key, and all of an
+iteration's dirty donors are derived in one batched call. The "best
+admissible move" query merges the rows through a heap of per-donor
+heads — about ``p`` entries, not one per move — taking moves in the
+total order ``(delta, area, receiver, donor)``.
 
 For the portfolio parallelism of :mod:`repro.fact.portfolio`, the
 search accepts an optional seeded RNG plus a perturbation count:
@@ -42,13 +39,13 @@ the kicks, so a member never returns something worse than its input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from random import Random
 
 from ..core.aggregates import Aggregate
 from ..core.partition import Partition
 from ..obs.spans import NULL_TRACER
-from ..core.perf import hotpath_caches_enabled
 from ..core.region import Region
 from ..runtime import Interrupted, RunStatus
 from .config import FaCTConfig
@@ -95,20 +92,21 @@ class TabuResult:
 _MoveKey = tuple[int, int]  # (area_id, receiver_region_id)
 
 # The vectorized move scorer packs one (candidate, receiver) pair into
-# a single int64 — candidate ordinal in the high bits, receiver region
-# id in the low 31 (region ids are solve-local counters, nowhere near
-# 2**31). Sorted codes decode to the scalar loop's (area asc, receiver
-# asc) visit order.
+# a single int64 — the candidate's ordinal in the batch in the high
+# bits, receiver region id in the low 31 (region ids are solve-local
+# counters, nowhere near 2**31). Sorted codes decode to the scalar
+# loop's (area asc, receiver asc) visit order, donor by donor.
 _PAIR_SHIFT = 31
 _PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
 # Donors smaller than this take the scalar derive even under the numpy
-# backend: the vector path pays a fixed per-derive cost (CSR gather,
-# pair dedup, kernel dispatch) that only amortizes once the donor
-# boundary yields a few dozen candidate pairs. Both paths are
-# bit-identical by contract, so this is purely a dispatch heuristic —
+# backend: the vector kernel pays a fixed cost per donor in a batch
+# (candidate sort, donor-side segments, pricing slices) that only
+# amortizes once the donor boundary yields a few dozen candidate
+# pairs. Both kernels are bit-identical by contract, so this is purely
+# a dispatch heuristic —
 # small-region workloads (many tiny regions) run at scalar speed, the
 # scaling benchmark's 250+-area regions always vectorize. Tests
 # monkeypatch this to 0 to force the vector path on small fixtures.
@@ -277,25 +275,96 @@ def _initial_labels(state: SolutionState) -> dict[int, int]:
     return labels
 
 
+def _region_blocks(region_ids, regions, np) -> list[tuple]:
+    """``(region, start, end)`` of each run of equal ids in the sorted
+    int array *region_ids*, resolved through *regions*."""
+    if not len(region_ids):
+        return []
+    bounds = np.flatnonzero(region_ids[1:] != region_ids[:-1]) + 1
+    starts = np.concatenate(([0], bounds))
+    return [
+        (regions[region_id], start, end)
+        for region_id, start, end in zip(
+            region_ids[starts].tolist(),
+            starts.tolist(),
+            np.concatenate((bounds, [len(region_ids)])).tolist(),
+        )
+    ]
+
+
+def _deviation_sums(blocks, d, np):
+    """``sum_j |d - d_j|`` of each value in *d* over the members of
+    the region owning its block, for *blocks* of ``(region, start,
+    end)``: one ``searchsorted`` per block off the region's
+    maintained sorted/prefix structure, then the closed form
+    ``(rank·d − below) + (above − d·(g − rank))`` over every value
+    at once — the batch form of ``Region._abs_deviation_sum``."""
+    rank = np.empty(len(d), dtype=np.int64)
+    below = np.empty(len(d), dtype=np.float64)
+    total = np.empty(len(d), dtype=np.float64)
+    size = np.empty(len(d), dtype=np.int64)
+    for region, start, end in blocks:
+        values, prefix = region._struct_arrays(np)
+        block_rank = values.searchsorted(d[start:end], side="left")
+        rank[start:end] = block_rank
+        below[start:end] = prefix[block_rank]
+        total[start:end] = prefix[-1]
+        size[start:end] = len(values)
+    above = total - below
+    return (d * rank - below) + (above - d * (size - rank))
+
+
+class _DerivedMoves:
+    """One batched derive: per donor, the ``(deltas, areas, receivers)``
+    row of its valid moves, ordered by the selection key.
+
+    ``len()`` counts moves, not donors: the traced benchmark's
+    ``moves_derived`` counter sums it per derive call.
+    """
+
+    __slots__ = ("rows", "moves")
+
+    def __init__(self) -> None:
+        self.rows: dict[int, tuple] = {}
+        self.moves = 0
+
+    def add(self, donor_id: int, row: tuple) -> None:
+        self.rows[donor_id] = row
+        self.moves += len(row[0])
+
+    def __len__(self) -> int:
+        return self.moves
+
+
+_EMPTY_ROW: tuple = ((), (), ())
+
+
 class _MovePool:
-    """Incrementally maintained pool of valid moves with a heap index.
+    """The tabu move table: every valid move, one row per donor region.
 
-    Moves are grouped by donor region. After an executed move only the
-    regions whose *structure* changed are fully re-derived: the donor,
-    the receiver, and regions containing a neighbor of the moved area
-    (those are the only places where moves can appear or disappear).
-    Cached entries elsewhere can still carry stale receiver-side
-    deltas — :meth:`best_admissible` therefore re-validates its chosen
-    move against live region state before returning it, correcting or
-    evicting stale entries on the spot.
+    A row is three parallel sequences — delta, area, receiver — sorted
+    by ``(delta, area, receiver)``, the selection key minus the donor
+    (constant within a row). Vector-kernel rows are numpy arrays,
+    scalar-kernel rows plain lists; both index the same way.
 
-    The heap index holds one entry per derived move, keyed
-    ``(delta, area, receiver, donor, stamp)``. Entries are never
-    removed eagerly: a per-donor generation stamp (bumped whenever the
-    donor's moves are re-derived) and an exact match against the
-    donor's current cached delta decide validity at pop time. Entries
-    popped but still valid (tabu-skipped, or the chosen move itself)
-    are pushed back, so the heap always covers the live pool.
+    After an executed move only the regions whose *structure* changed
+    are re-derived: the donor, the receiver, and regions containing a
+    neighbor of the moved area (the only places where moves can appear
+    or disappear). All of one iteration's dirty donors go through a
+    single :meth:`_derive_moves` call. Rows of other donors can still
+    carry stale receiver-side deltas — :meth:`best_admissible`
+    therefore re-validates its chosen move against live state,
+    dropping it or correcting its cached delta in place.
+
+    Selection is a lazy k-way merge of the rows. The heap holds each
+    donor's *head* — its least entry not yet popped — plus the tabu
+    entries and corrected entries earlier queries pushed back, so it
+    stays about ``p`` entries long. Popping a head pushes the next
+    entry of its row; every entry a row holds behind its head orders
+    after it, so the heap minimum is the minimum of the whole table.
+    Entries carry the donor's generation stamp (bumped on every
+    re-derive); entries of an older generation are skipped when popped
+    and compacted away once they outnumber the live ones.
     """
 
     def __init__(self, state: SolutionState, objective):
@@ -303,37 +372,26 @@ class _MovePool:
 
         self._state = state
         self._objective = objective
-        self._moves_by_donor: dict[int, dict[_MoveKey, float]] = {}
+        self._rows: dict[int, tuple] = {}
+        # Row indexes live validation found invalid, per donor; the
+        # donor's next derive starts a fresh row.
+        self._dropped: dict[int, set[int]] = {}
         self._dirty: set[int] = set(state.regions)
-        # Captured once per pool: flipping the gate mid-search would
-        # desynchronize the heap from the pool.
-        self._indexed = hotpath_caches_enabled()
-        # Batch candidate scoring off the flat-array mirror: only for
-        # the paper objective (whose deltas close over the maintained
-        # sorted/prefix structure) and only with the caches on — the
-        # uncached reference path stays the scalar oracle. Both paths
-        # produce identical move dicts in identical insertion order.
+        # Batch candidate scoring off the flat-array mirror, only for
+        # the paper objective: its deltas close over the maintained
+        # sorted/prefix structure the vector kernel prices against.
         self._vector = (
-            self._indexed
-            and state.backend == "numpy"
+            state.backend == "numpy"
             and state.array_state is not None
             and type(objective) is HeterogeneityObjective
         )
-        self._heap: list[tuple[float, int, int, int, int]] = []
-        self._stamp: dict[int, int] = {}
-        # Donor-side derive cache, keyed by the donor's membership
-        # version: after a move, regions adjacent to the moved area are
-        # re-derived even though their *own* membership is unchanged
-        # (only their neighborhood changed), so everything that depends
-        # solely on donor membership — candidate order, CSR gather
-        # geometry, donor-side feasibility and removal deltas —
-        # survives verbatim. Region ids are never reused, so the
-        # (id → version) key cannot alias across dissolve/new cycles.
-        self._donor_cache: dict[int, tuple[int, tuple | None]] = {}
-
-    def mark_dirty(self, region_id: int) -> None:
-        """Schedule one region's donated moves for re-derivation."""
-        self._dirty.add(region_id)
+        # Heap entries: (delta, area, receiver, donor, generation,
+        # row index).
+        self._heap: list[tuple[float, int, int, int, int, int]] = []
+        self._generation: dict[int, int] = {}
+        # Row index of each donor's head entry (== row length once the
+        # row is exhausted).
+        self._head: dict[int, int] = {}
 
     def after_move(self, area_id: int, donor_id: int, receiver_id: int) -> None:
         """Record the structural consequences of an executed move."""
@@ -346,49 +404,84 @@ class _MovePool:
                 self._dirty.add(neighbor_region)
 
     def _refresh(self) -> None:
-        heap = self._heap
+        """Re-derive every dirty donor in one batch and install the
+        new rows."""
+        if not self._dirty:
+            return
+        regions = self._state.regions
+        generation = self._generation
+        donors: list[Region] = []
         for region_id in self._dirty:
-            self._stamp[region_id] = stamp = self._stamp.get(region_id, 0) + 1
-            region = self._state.regions.get(region_id)
+            region = regions.get(region_id)
             if region is None:
-                self._moves_by_donor.pop(region_id, None)
-                self._donor_cache.pop(region_id, None)
-                continue
-            moves = self._derive_moves(region)
-            self._moves_by_donor[region_id] = moves
-            if self._indexed:
-                for (area_id, receiver_id), delta in moves.items():
-                    heappush(
-                        heap, (delta, area_id, receiver_id, region_id, stamp)
-                    )
+                self._rows.pop(region_id, None)
+                self._dropped.pop(region_id, None)
+                generation[region_id] = generation.get(region_id, 0) + 1
+            else:
+                donors.append(region)
         self._dirty.clear()
+        heap = self._heap
+        for donor_id, row in self._derive_moves(donors).rows.items():
+            self._rows[donor_id] = row
+            self._dropped.pop(donor_id, None)
+            generation[donor_id] = generation.get(donor_id, 0) + 1
+            self._head[donor_id] = 0
+            if len(row[0]):
+                self._push(donor_id, 0)
+        if len(heap) > 2 * len(self._rows) + 64:
+            heap[:] = [
+                entry for entry in heap if entry[4] == generation[entry[3]]
+            ]
+            heapify(heap)
 
-    def _derive_moves(self, donor: Region) -> dict[_MoveKey, float]:
-        """All valid moves donating one of *donor*'s boundary areas to
-        an adjacent region, with their heterogeneity deltas.
+    def _push(self, donor_id: int, index: int) -> None:
+        """Push entry *index* of *donor_id*'s row onto the heap."""
+        deltas, areas, receivers = self._rows[donor_id]
+        heappush(
+            self._heap,
+            (
+                float(deltas[index]),
+                int(areas[index]),
+                int(receivers[index]),
+                donor_id,
+                self._generation[donor_id],
+                index,
+            ),
+        )
 
-        Dispatches to the numpy batch scorer when the backend allows
-        and the donor is large enough to amortize the vector path's
-        fixed overhead (``_VECTOR_MIN_DONOR``); the scalar loop is the
-        reference path. Identical output either way — same keys, same
-        deltas (bit for bit), same insertion order — so the heap index
-        and the tabu trajectory cannot tell the backends apart.
+    def _derive_moves(self, donors: list[Region]) -> _DerivedMoves:
+        """All valid moves donating a boundary area of one of *donors*
+        to an adjacent region, with their heterogeneity deltas.
+
+        Donors of at least ``_VECTOR_MIN_DONOR`` areas go through one
+        batched numpy kernel call when the backend allows; smaller
+        donors take the scalar loop, whose per-donor cost beats the
+        vector kernel's fixed overhead there. Both kernels produce the
+        same row for the same donor — same moves, same deltas bit for
+        bit, same order — so the dispatch cannot change a trajectory.
         """
-        if self._vector and len(donor) >= _VECTOR_MIN_DONOR:
-            return self._derive_moves_vector(donor)
-        return self._derive_moves_scalar(donor)
+        derived = _DerivedMoves()
+        batch: list[Region] = []
+        for donor in donors:
+            if self._vector and len(donor) >= _VECTOR_MIN_DONOR:
+                batch.append(donor)
+            else:
+                derived.add(donor.region_id, self._derive_moves_scalar(donor))
+        if batch:
+            self._derive_moves_vector(batch, derived)
+        return derived
 
-    def _derive_moves_scalar(self, donor: Region) -> dict[_MoveKey, float]:
+    def _derive_moves_scalar(self, donor: Region) -> tuple:
         state = self._state
         constraints = state.constraints
-        moves: dict[_MoveKey, float] = {}
         if len(donor) <= 1:
-            return moves
+            return _EMPTY_ROW
         collection = state.collection
         assignment = state.assignment
         regions = state.regions
         perf = state.perf
         objective = self._objective
+        moves: list[tuple[float, int, int]] = []
         # The region's contiguity oracle answers "who may leave?" for
         # every member at once (one cached Hopcroft–Tarjan pass instead
         # of a per-area BFS) — and the same cache then serves the O(1)
@@ -413,219 +506,193 @@ class _MovePool:
                 receiver = regions[receiver_id]
                 if not receiver.satisfies_after_add(constraints, area_id):
                     continue
-                moves[(area_id, receiver_id)] = objective.delta_move(
-                    donor, receiver, area_id
+                moves.append(
+                    (
+                        objective.delta_move(donor, receiver, area_id),
+                        area_id,
+                        receiver_id,
+                    )
                 )
-        return moves
+        if not moves:
+            return _EMPTY_ROW
+        moves.sort()
+        deltas, areas, receivers = map(list, zip(*moves))
+        return deltas, areas, receivers
 
-    def _derive_moves_vector(self, donor: Region) -> dict[_MoveKey, float]:
-        """Batch counterpart of :meth:`_derive_moves_scalar`.
+    def _derive_moves_vector(
+        self, donors: list[Region], derived: _DerivedMoves
+    ) -> None:
+        """Batch counterpart of :meth:`_derive_moves_scalar` over many
+        donors at once.
 
-        One CSR gather discovers every (candidate, receiver) pair of
-        the donor boundary at once; constraint verdicts and
-        heterogeneity deltas are then evaluated as elementwise float64
-        vector arithmetic. Each step replays the exact scalar
-        computation (``searchsorted`` == ``bisect_left``, the same
-        closed-form ``rank·d − prefix[rank]`` pricing off the same
-        maintained prefix lists, IEEE-identical elementwise ops), so
-        the resulting move dict is bit-identical to the scalar one.
+        One concatenated CSR gather discovers every (candidate,
+        receiver) pair of every donor boundary and one sort of packed
+        int64 codes dedups them; donor- and receiver-side feasibility
+        and the heterogeneity deltas are then elementwise float64
+        arithmetic over the whole batch, segmented by donor or by
+        receiver where a region's own structure is needed. Each step
+        replays the exact scalar computation (``searchsorted`` ==
+        ``bisect_left``, the same closed-form ``rank·d − prefix[rank]``
+        pricing off the same maintained prefix lists, IEEE-identical
+        elementwise ops), so every row is bit-identical to the scalar
+        kernel's.
         """
         state = self._state
-        moves: dict[_MoveKey, float] = {}
-        if len(donor) <= 1:
-            return moves
         astate = state.array_state
         arrays = astate.arrays
         np = arrays.np
         perf = state.perf
-        perf.vector_derives += 1
-        donor_id = donor.region_id
-        # Everything that depends only on the donor's own membership is
-        # cached across derives and reused verbatim while the donor's
-        # membership version stands still (neighbor-only dirtiness).
-        cached = self._donor_cache.get(donor_id)
-        if cached is not None and cached[0] == donor._version:
-            payload = cached[1]
-            perf.donor_cache_hits += 1
-        else:
-            payload = self._donor_payload(donor, arrays, np)
-            self._donor_cache[donor_id] = (donor._version, payload)
-        if payload is None:
-            return moves
-        cand_ids, cand_idx, nbr_cols, owner, donor_ok, remove_delta = payload
 
-        # Receiver discovery: one label gather over the candidates'
-        # precomputed CSR columns.
-        neighbor_labels = astate.labels[nbr_cols]
-        edge = (neighbor_labels >= 0) & (neighbor_labels != donor_id)
-        if not edge.any():
-            return moves
-        # Unique (candidate, receiver) pairs via one packed-int64
-        # unique — far cheaper than a row-wise unique, same sorted
-        # (area asc, receiver asc) order after decoding.
-        codes = np.unique(
-            (owner[edge] << _PAIR_SHIFT) | neighbor_labels[edge]
-        )
-        own = codes >> _PAIR_SHIFT
-        recv = codes & _PAIR_MASK
-
-        # Donor-side feasibility, vectorized over the candidates.
-        pair_keep = donor_ok[own]
-        if not pair_keep.all():
-            own = own[pair_keep]
-            recv = recv[pair_keep]
-            if not len(own):
-                return moves
-        perf.candidate_evaluations += len(own)
-        pair_idx = cand_idx[own]
-
-        # Receiver-side feasibility over every pair at once (off the
-        # flat per-region aggregate vectors), then pricing in one small
-        # batch per adjacent region.
-        ok = self._receiver_feasible_all(recv, pair_idx, np)
-        kept = np.nonzero(ok)[0]
-        priced = len(kept)
-        deltas = np.empty(len(own), dtype=np.float64)
-        if priced:
-            regions = state.regions
-            dissimilarity = arrays.dissimilarity
-            recv_kept = recv[kept]
-            order = np.argsort(recv_kept, kind="stable")
-            sorted_rows = kept[order]
-            sorted_recv = recv_kept[order]
-            bounds = np.nonzero(np.diff(sorted_recv))[0] + 1
-            group_starts = np.concatenate(([0], bounds)).tolist()
-            group_ends = np.concatenate(
-                (bounds, [len(sorted_recv)])
-            ).tolist()
-            group_ids = sorted_recv[np.concatenate(([0], bounds))].tolist()
-            for start, end, receiver_id in zip(
-                group_starts, group_ends, group_ids
-            ):
-                rows = sorted_rows[start:end]
-                receiver = regions[receiver_id]
-                r_values, r_prefix = receiver._struct_arrays(np)
-                d_rows = dissimilarity[pair_idx[rows]]
-                r_rank = r_values.searchsorted(d_rows, side="left")
-                r_below = r_prefix[r_rank]
-                r_above = r_prefix[-1] - r_below
-                deltas[rows] = remove_delta[own[rows]] + (
-                    (d_rows * r_rank - r_below)
-                    + (r_above - d_rows * (len(r_values) - r_rank))
-                )
-        # Mirror the scalar path's accounting: each priced pair would
-        # have cost one donor-side and one receiver-side delta query.
-        perf.delta_fastpath += 2 * priced
-
-        # Batch-convert once; per-row int()/float() coercions dominate
-        # the dict build otherwise. kept is ascending, so insertion
-        # order stays (area asc, receiver asc) — the scalar order.
-        for o, r, delta in zip(
-            own[kept].tolist(), recv[kept].tolist(), deltas[kept].tolist()
-        ):
-            moves[(cand_ids[o], r)] = delta
-        return moves
-
-    def _donor_payload(self, donor: Region, arrays, np):
-        """Donor-membership-only intermediates of the vector derive.
-
-        Returns ``(cand_ids, cand_idx, nbr_cols, owner, donor_ok,
-        remove_delta)`` or ``None`` when the donor yields no candidate
-        moves at all. Every array here is a pure function of the
-        donor's member set plus static problem data (CSR topology,
-        constraint bounds, dissimilarity), so the tuple stays valid —
-        and is reused verbatim — until the donor's own membership
-        changes (tracked by ``Region._version``).
-        """
-        candidates = donor.removable_areas()
-        if not candidates:
-            return None
-        # Candidates in ascending area-id order — the scalar loop's
-        # iteration order, which fixes the move-dict insertion order.
-        cand_ids = sorted(candidates)
+        # Candidates of every donor, concatenated donor by donor, each
+        # donor's block in ascending area-id order.
+        priced: list[Region] = []
+        cand_ids: list[int] = []
+        block_sizes: list[int] = []
+        for donor in donors:
+            if len(donor) <= 1:
+                derived.add(donor.region_id, _EMPTY_ROW)
+                continue
+            perf.vector_derives += 1
+            candidates = donor.removable_areas()
+            if not candidates:
+                derived.add(donor.region_id, _EMPTY_ROW)
+                continue
+            priced.append(donor)
+            cand_ids.extend(sorted(candidates))
+            block_sizes.append(len(candidates))
+        if not priced:
+            return
+        block_ends = list(accumulate(block_sizes))
+        blocks = list(zip(priced, [0] + block_ends[:-1], block_ends))
         cand_idx = arrays.positions(cand_ids)
+        cand_slot = np.empty(len(cand_ids), dtype=np.int64)
+        cand_donor = np.empty(len(cand_ids), dtype=np.int64)
+        for slot, (donor, start, end) in enumerate(blocks):
+            cand_slot[start:end] = slot
+            cand_donor[start:end] = donor.region_id
 
-        # CSR gather geometry: the concatenated neighbor columns of
-        # every candidate row, plus each column's owning candidate.
+        # Receiver discovery: the concatenated CSR neighbor columns of
+        # every candidate row, one label gather over them.
         indptr = arrays.indptr
         starts = indptr[cand_idx]
         counts = indptr[cand_idx + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return None
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - offsets
-            + np.repeat(starts, counts)
+        flat = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        flat += np.arange(len(flat))
+        owner = np.repeat(np.arange(len(cand_ids), dtype=np.int64), counts)
+        neighbor_labels = astate.labels[arrays.indices[flat]]
+        edge = (neighbor_labels >= 0) & (neighbor_labels != cand_donor[owner])
+        # Unique (candidate, receiver) pairs: one sort of packed int64
+        # codes, in (donor, area asc, receiver asc) order.
+        codes = (owner[edge] << _PAIR_SHIFT) | neighbor_labels[edge]
+        codes.sort()
+        if len(codes) > 1:
+            codes = codes[np.concatenate(([True], codes[1:] != codes[:-1]))]
+
+        donor_ok = self._feasible_after(
+            False, blocks, cand_donor, cand_idx, np
         )
-        nbr_cols = arrays.indices[flat]
-        owner = np.repeat(
-            np.arange(len(cand_ids), dtype=np.int64), counts
+        codes = codes[donor_ok[codes >> _PAIR_SHIFT]]
+        perf.candidate_evaluations += len(codes)
+
+        # Receiver-major layout from here on: each receiver's pairs
+        # are contiguous, so receiver-side work runs on slices.
+        codes = codes[np.argsort(codes & _PAIR_MASK, kind="stable")]
+        own = codes >> _PAIR_SHIFT
+        recv = codes & _PAIR_MASK
+        pair_idx = cand_idx[own]
+        regions = state.regions
+        ok = self._feasible_after(
+            True, _region_blocks(recv, regions, np), recv, pair_idx, np
         )
-
-        # Donor-side feasibility, vectorized over the candidates.
-        donor_ok = self._donor_feasible_vector(donor, cand_idx, np)
-
-        # Donor-side delta: -(sum_j |d - d_j|) off the maintained
-        # sorted/prefix structure — the batch form of
-        # Region.heterogeneity_delta_remove.
-        values_arr, prefix_arr = donor._struct_arrays(np)
-        d_cand = arrays.dissimilarity[cand_idx]
-        rank = values_arr.searchsorted(d_cand, side="left")
-        below = prefix_arr[rank]
-        above = prefix_arr[-1] - below
-        remove_delta = -(
-            (d_cand * rank - below)
-            + (above - d_cand * (len(values_arr) - rank))
+        if not ok.all():
+            codes = codes[ok]
+            own = own[ok]
+            recv = recv[ok]
+            pair_idx = pair_idx[ok]
+        # Mirror the scalar kernel's accounting: each priced pair would
+        # have cost one donor-side and one receiver-side delta query.
+        perf.delta_fastpath += 2 * len(codes)
+        # Donor-side removal term per candidate, receiver-side addition
+        # term per pair: the two halves of delta_move, summed in its
+        # order.
+        dissimilarity = arrays.dissimilarity
+        remove_delta = -_deviation_sums(
+            blocks, dissimilarity[cand_idx], np
         )
-        return (cand_ids, cand_idx, nbr_cols, owner, donor_ok, remove_delta)
+        if len(codes):
+            deltas = remove_delta[own] + _deviation_sums(
+                _region_blocks(recv, regions, np), dissimilarity[pair_idx], np
+            )
+            slot = cand_slot[own]
+            # Row order: by donor, then the (delta, area, receiver)
+            # key — the codes order areas, then receivers, in a donor.
+            order = np.lexsort((codes, deltas, slot))
+            deltas = deltas[order]
+            areas = arrays.ids[pair_idx[order]]
+            recv = recv[order]
+            ends = np.cumsum(
+                np.bincount(slot, minlength=len(priced))
+            ).tolist()
+        else:
+            ends = [0] * len(priced)
+        start = 0
+        for donor, end in zip(priced, ends):
+            if end == start:
+                derived.add(donor.region_id, _EMPTY_ROW)
+            else:
+                derived.add(
+                    donor.region_id,
+                    (deltas[start:end], areas[start:end], recv[start:end]),
+                )
+            start = end
 
-    def _donor_feasible_vector(self, donor: Region, cand_idx, np):
-        """Elementwise ``satisfies_after_remove`` over the candidates.
+    def _feasible_after(self, adding, blocks, region_of, positions, np):
+        """Elementwise ``satisfies_after_add`` (*adding*) or
+        ``satisfies_after_remove`` of the area at each dense position
+        in *positions* for the region at the same index of
+        *region_of*; *blocks* are the ``(region, start, end)`` runs of
+        *region_of*.
 
-        The batch form of the scalar per-constraint loop: SUM/AVG are
-        pure vector arithmetic on the scalar aggregate state, MIN/MAX
-        vectorize the common "not the extremum" case and fall back to
-        the exact scalar rule only for candidates holding the cached
-        extremum. ``len(donor) >= 2`` is guaranteed by the caller.
+        SUM/AVG/COUNT read the flat per-region aggregate vectors the
+        :class:`repro.core.arrays.ArrayState` sink maintains (bit-equal
+        to the scalar :class:`~repro.core.aggregates.AggregateState`
+        sums — ``check_indexes`` asserts exactly that); MIN/MAX read
+        each region's cached extremum once per block.
         """
-        state = self._state
-        arrays = state.array_state.arrays
-        ok = np.ones(len(cand_idx), dtype=bool)
+        astate = self._state.array_state
+        combine = np.add if adding else np.subtract
+        ok = np.ones(len(positions), dtype=bool)
+        counts = None
         # One gather per distinct attribute — constraint sets reuse
         # attributes across aggregate families.
         gathered: dict[str, object] = {}
-        for constraint in state.constraints:
+        sums: dict[str, object] = {}
+        members: dict[int, object] = {}
+        for constraint in self._state.constraints:
             aggregate = constraint.aggregate
             if aggregate == Aggregate.COUNT:
-                if not constraint.contains(float(len(donor) - 1)):
-                    ok[:] = False
-                continue
-            aggregate_state = donor._state(constraint.attribute)
-            vals = gathered.get(constraint.attribute)
-            if vals is None:
-                vals = arrays.attributes[constraint.attribute][cand_idx]
-                gathered[constraint.attribute] = vals
-            if aggregate == Aggregate.SUM:
-                value = aggregate_state.sum - vals
-            elif aggregate == Aggregate.AVG:
-                value = (aggregate_state.sum - vals) / (
-                    aggregate_state.count - 1
-                )
-            elif aggregate == Aggregate.MIN:
-                cached = aggregate_state.min
-                value = np.full(len(vals), cached)
-                for i in np.nonzero(vals <= cached)[0]:
-                    value[i] = aggregate_state.value_after_remove(
-                        Aggregate.MIN, float(vals[i])
-                    )
-            else:  # MAX
-                cached = aggregate_state.max
-                value = np.full(len(vals), cached)
-                for i in np.nonzero(vals >= cached)[0]:
-                    value[i] = aggregate_state.value_after_remove(
-                        Aggregate.MAX, float(vals[i])
+                if counts is None:
+                    counts = astate.region_count[region_of]
+                value = combine(counts, 1)
+            else:
+                attribute = constraint.attribute
+                vals = gathered.get(attribute)
+                if vals is None:
+                    vals = astate.arrays.attributes[attribute][positions]
+                    gathered[attribute] = vals
+                if aggregate == Aggregate.SUM or aggregate == Aggregate.AVG:
+                    total = sums.get(attribute)
+                    if total is None:
+                        total = astate.region_sums[attribute][region_of]
+                        sums[attribute] = total
+                    value = combine(total, vals)
+                    if aggregate == Aggregate.AVG:
+                        if counts is None:
+                            counts = astate.region_count[region_of]
+                        value = value / combine(counts, 1)
+                else:
+                    value = self._extremum_after(
+                        adding, constraint, blocks, vals, members, np
                     )
             # Finite values never fail an infinite bound, so skip
             # those comparisons — half the verdict work for the
@@ -636,111 +703,44 @@ class _MovePool:
                 ok &= value <= constraint.upper
         return ok
 
-    def _receiver_feasible_all(self, recv, pair_idx, np):
-        """Elementwise ``satisfies_after_add`` over every (candidate,
-        receiver) pair at once.
+    def _extremum_after(self, adding, constraint, blocks, vals, members, np):
+        """Each element's region MIN/MAX after adding (*adding*) or
+        removing its area, whose values are *vals*.
 
-        SUM/AVG/COUNT read the flat per-region aggregate vectors the
-        :class:`repro.core.arrays.ArrayState` sink maintains (bit-equal
-        to the scalar :class:`~repro.core.aggregates.AggregateState`
-        sums — ``check_indexes`` asserts exactly that); MIN/MAX gather
-        each receiver's cached extremum once per unique receiver.
+        A removed area holding its region's extremum leaves the
+        region's multiset runner-up — the extremum itself when it is
+        duplicated, exactly ``AggregateState.value_after_remove``.
+        *members* memoizes each region's member positions across the
+        constraints of one call.
         """
-        state = self._state
-        astate = state.array_state
-        arrays = astate.arrays
-        region_count = astate.region_count
-        ok = np.ones(len(recv), dtype=bool)
-        # Shared gathers: unique receivers (every MIN/MAX constraint),
-        # per-attribute candidate values and receiver sums, and the
-        # receiver count column — each computed at most once per call.
-        uniq = None
-        counts = None
-        gathered: dict[str, object] = {}
-        sums: dict[str, object] = {}
-        for constraint in state.constraints:
-            aggregate = constraint.aggregate
-            if aggregate == Aggregate.COUNT:
-                if counts is None:
-                    counts = region_count[recv]
-                value = counts + 1
-            else:
-                attribute = constraint.attribute
-                vals = gathered.get(attribute)
-                if vals is None:
-                    vals = arrays.attributes[attribute][pair_idx]
-                    gathered[attribute] = vals
-                if aggregate == Aggregate.SUM:
-                    total = sums.get(attribute)
-                    if total is None:
-                        total = astate.region_sums[attribute][recv]
-                        sums[attribute] = total
-                    value = total + vals
-                elif aggregate == Aggregate.AVG:
-                    total = sums.get(attribute)
-                    if total is None:
-                        total = astate.region_sums[attribute][recv]
-                        sums[attribute] = total
-                    if counts is None:
-                        counts = region_count[recv]
-                    value = (total + vals) / (counts + 1)
-                else:  # MIN / MAX
-                    if uniq is None:
-                        uniq = np.unique(recv, return_inverse=True)
-                    extrema = self._receiver_extrema(constraint, uniq, np)
-                    if aggregate == Aggregate.MIN:
-                        value = np.minimum(extrema, vals)
-                    else:
-                        value = np.maximum(extrema, vals)
-            if constraint.lower != _NEG_INF:
-                ok &= value >= constraint.lower
-            if constraint.upper != _POS_INF:
-                ok &= value <= constraint.upper
-        return ok
-
-    def _receiver_extrema(self, constraint, uniq, np):
-        """Each pair's receiver-side cached MIN/MAX aggregate, gathered
-        once per unique receiver (receivers per donor boundary are
-        few). *uniq* is ``np.unique(recv, return_inverse=True)``."""
-        regions = self._state.regions
-        unique_recv, inverse = uniq
+        astate = self._state.array_state
         attribute = constraint.attribute
-        if constraint.aggregate == Aggregate.MIN:
-            gathered = [
-                regions[r]._state(attribute).min
-                for r in unique_recv.tolist()
-            ]
-        else:
-            gathered = [
-                regions[r]._state(attribute).max
-                for r in unique_recv.tolist()
-            ]
-        return np.asarray(gathered, dtype=np.float64)[inverse]
-
-    def _scan(
-        self,
-        iteration: int,
-        tabu_until: dict[_MoveKey, int],
-        current_h: float,
-        best_h: float,
-    ) -> tuple[float, int, int, int] | None:
-        """Exhaustive reference scan: the admissible move minimizing
-        ``(delta, area, receiver, donor)`` — the same total order the
-        heap index pops in."""
-        best: tuple[float, int, int, int] | None = None
-        for donor_id, moves in self._moves_by_donor.items():
-            for (area_id, receiver_id), delta in moves.items():
-                if tabu_until.get((area_id, receiver_id), 0) >= iteration:
-                    # Aspiration: accept a tabu move that beats best_h.
-                    if current_h + delta >= best_h - 1e-9:
-                        continue
-                candidate = (delta, area_id, receiver_id, donor_id)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is None:
-            return None
-        delta, area_id, receiver_id, donor_id = best
-        return (delta, area_id, donor_id, receiver_id)
+        is_min = constraint.aggregate == Aggregate.MIN
+        value = np.empty(len(vals), dtype=np.float64)
+        for region, start, end in blocks:
+            extremum = region._state(attribute)
+            value[start:end] = extremum.min if is_min else extremum.max
+        if adding:
+            return (np.minimum if is_min else np.maximum)(value, vals)
+        holders = vals <= value if is_min else vals >= value
+        if not holders.any():
+            return value
+        for region, start, end in blocks:
+            held = holders[start:end]
+            if not held.any():
+                continue
+            positions = members.get(region.region_id)
+            if positions is None:
+                positions = members[region.region_id] = np.flatnonzero(
+                    astate.labels == region.region_id
+                )
+            member_vals = astate.arrays.attributes[attribute][positions]
+            if is_min:
+                runner_up = np.partition(member_vals, 1)[1]
+            else:
+                runner_up = np.partition(member_vals, -2)[-2]
+            value[start:end][held] = runner_up
+        return value
 
     def _live_delta(
         self, area_id: int, donor_id: int, receiver_id: int
@@ -767,6 +767,22 @@ class _MovePool:
             return None
         return self._objective.delta_move(donor, receiver, area_id)
 
+    def cached_moves(self):
+        """Every move in the table as ``(delta, area, receiver,
+        donor)`` with its cached delta, donors ascending and each row
+        in key order (dropped moves excluded)."""
+        for donor_id in sorted(self._rows):
+            deltas, areas, receivers = self._rows[donor_id]
+            dropped = self._dropped.get(donor_id, ())
+            for index in range(len(deltas)):
+                if index not in dropped:
+                    yield (
+                        float(deltas[index]),
+                        int(areas[index]),
+                        int(receivers[index]),
+                        donor_id,
+                    )
+
     def random_admissible(
         self, rng: Random
     ) -> tuple[float, int, int, int] | None:
@@ -774,10 +790,13 @@ class _MovePool:
         receiver)`` — the portfolio perturbation kick. Deterministic in
         the *rng* state."""
         self._refresh()
-        candidates: list[tuple[int, int, int]] = []
-        for donor_id in sorted(self._moves_by_donor):
-            for area_id, receiver_id in sorted(self._moves_by_donor[donor_id]):
-                candidates.append((area_id, donor_id, receiver_id))
+        candidates = [
+            (area_id, donor_id, receiver_id)
+            for donor_id, area_id, receiver_id in sorted(
+                (donor_id, area_id, receiver_id)
+                for _, area_id, receiver_id, donor_id in self.cached_moves()
+            )
+        ]
         while candidates:
             area_id, donor_id, receiver_id = candidates.pop(
                 rng.randrange(len(candidates))
@@ -794,77 +813,54 @@ class _MovePool:
         current_h: float,
         best_h: float,
     ) -> tuple[float, int, int, int] | None:
-        """The lowest-delta admissible move as
+        """The lowest-key admissible move as
         ``(delta, area, donor, receiver)``, or ``None``.
 
-        Chosen moves are re-validated against live state: a stale
-        entry is corrected (or evicted) and the query repeats, so the
-        returned move is always executable with an exact delta. Served
-        by the heap index, or the exhaustive scan when the hot-path
-        cache gate is off — both apply the same candidate order, so
-        the two modes choose identical moves.
+        Candidates pop in ``(delta, area, receiver, donor)`` order. A
+        tabu move is admissible only when it would beat ``best_h``
+        (aspiration); skipped ones go back on the heap after the
+        query. The first admissible candidate is re-validated against
+        live state: an invalid one is dropped, a stale delta is
+        corrected in place and the candidate re-queued under its live
+        key, and the query continues — so the returned move is always
+        executable with an exact delta.
         """
         self._refresh()
-        if not self._indexed:
-            return self._best_by_scan(iteration, tabu_until, current_h, best_h)
         heap = self._heap
-        moves_by_donor = self._moves_by_donor
-        stamps = self._stamp
-        deferred: list[tuple[float, int, int, int, int]] = []
+        generation = self._generation
+        head = self._head
+        rows = self._rows
+        deferred: list[tuple[float, int, int, int, int, int]] = []
         chosen: tuple[float, int, int, int] | None = None
         while heap:
             entry = heappop(heap)
-            delta, area_id, receiver_id, donor_id, stamp = entry
-            if stamp != stamps.get(donor_id):
+            delta, area_id, receiver_id, donor_id, stamp, index = entry
+            if stamp != generation[donor_id]:
                 continue  # donor re-derived since this entry was pushed
-            moves = moves_by_donor.get(donor_id)
-            if moves is None:
-                continue
-            key = (area_id, receiver_id)
-            cached = moves.get(key)
-            if cached is None or cached != delta:
-                continue  # evicted or superseded by a corrected entry
-            if tabu_until.get(key, 0) >= iteration and (
+            if index == head[donor_id]:
+                # The donor's head left the heap: its next entry is now
+                # the least one the heap does not hold.
+                head[donor_id] = following = index + 1
+                if following < len(rows[donor_id][0]):
+                    self._push(donor_id, following)
+            if tabu_until.get((area_id, receiver_id), 0) >= iteration and (
                 current_h + delta >= best_h - 1e-9
             ):
                 deferred.append(entry)  # tabu now, maybe not next time
                 continue
             live = self._live_delta(area_id, donor_id, receiver_id)
             if live is None:
-                del moves[key]
+                self._dropped.setdefault(donor_id, set()).add(index)
                 continue
-            if abs(live - cached) > 1e-9:
-                moves[key] = live
-                heappush(heap, (live, area_id, receiver_id, donor_id, stamp))
+            if abs(live - delta) > 1e-9:
+                rows[donor_id][0][index] = live
+                heappush(
+                    heap, (live, area_id, receiver_id, donor_id, stamp, index)
+                )
                 continue
-            deferred.append(entry)  # the chosen move stays in the pool
+            deferred.append(entry)  # the chosen move stays in the table
             chosen = (live, area_id, donor_id, receiver_id)
             break
         for entry in deferred:
             heappush(heap, entry)
         return chosen
-
-    def _best_by_scan(
-        self,
-        iteration: int,
-        tabu_until: dict[_MoveKey, int],
-        current_h: float,
-        best_h: float,
-    ) -> tuple[float, int, int, int] | None:
-        """Reference path: exhaustive scan plus the same correct-and-
-        repeat live validation the heap path applies."""
-        while True:
-            candidate = self._scan(iteration, tabu_until, current_h, best_h)
-            if candidate is None:
-                return None
-            cached_delta, area_id, donor_id, receiver_id = candidate
-            live = self._live_delta(area_id, donor_id, receiver_id)
-            key = (area_id, receiver_id)
-            donor_moves = self._moves_by_donor.get(donor_id, {})
-            if live is None:
-                donor_moves.pop(key, None)
-                continue
-            if abs(live - cached_delta) > 1e-9:
-                donor_moves[key] = live
-                continue
-            return (live, area_id, donor_id, receiver_id)

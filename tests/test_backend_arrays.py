@@ -325,17 +325,12 @@ class TestSolveBitIdentity:
                 solution.heterogeneity,
             )
             if backend == "numpy" and solution.perf is not None:
-                from repro.core.perf import hotpath_caches_enabled
-
                 derives = solution.perf.as_dict().get("vector_derives", 0)
-                if vector_min_donor == 0 and hotpath_caches_enabled():
-                    # forced: the kernels must actually have run
+                if vector_min_donor == 0:
+                    # forced: the kernels must actually have run, with
+                    # the hot-path caches on or off — the move table
+                    # does not read the cache gate
                     assert derives > 0
-                elif vector_min_donor == 0:
-                    # uncached reference runs (REPRO_DISABLE_HOTPATH_
-                    # CACHES=1) stay scalar by design — the identity
-                    # assertion below is the whole test then
-                    assert derives == 0
                 else:
                     # default cutoff: tiny donors all stay scalar
                     assert derives == 0
