@@ -1,32 +1,19 @@
-"""Hot-path cache benchmarks: incremental contiguity oracle and the
-SolutionState frontier/adjacency indexes vs their uncached reference
-paths (DESIGN.md "Performance model").
+"""Hot-path benchmarks: the incremental contiguity oracle and the
+SolutionState frontier/adjacency indexes (DESIGN.md "Performance
+model").
 
-Each cached/uncached pair runs the identical workload with the gate
-(:func:`repro.core.perf.set_hotpath_caches`) flipped, so a run both
-measures the speedup and asserts the bit-identity the caches promise.
 The checked-in full-scale trajectory lives in ``BENCH_hotpaths.json``
 (regenerate with ``python -m repro.bench micro``).
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro import FaCT, FaCTConfig
-from repro.core.perf import set_hotpath_caches
+from repro import FaCT
 from repro.bench.micro import _grow_state
 from repro.bench.runner import bench_config
 from repro.bench.workloads import combo_constraints
 
 from conftest import run_once
-
-
-@pytest.fixture(params=[True, False], ids=["cached", "uncached"])
-def cache_gate(request):
-    previous = set_hotpath_caches(request.param)
-    yield request.param
-    set_hotpath_caches(previous)
 
 
 def _solve(collection, constraints, rng_seed=7, enable_tabu=True):
@@ -36,13 +23,12 @@ def _solve(collection, constraints, rng_seed=7, enable_tabu=True):
     return FaCT(config).solve(collection, constraints)
 
 
-def test_hotpaths_full_solve(benchmark, default_2k, cache_gate):
-    """The headline pair: one Tabu-enabled solve, caches on vs off."""
+def test_hotpaths_full_solve(benchmark, default_2k):
+    """The headline: one Tabu-enabled solve."""
     constraints = combo_constraints("MAS")
     solution = run_once(benchmark, _solve, default_2k, constraints)
     perf = solution.perf.as_dict()
     benchmark.extra_info.update(
-        cached=cache_gate,
         p=solution.p,
         heterogeneity=solution.heterogeneity,
         graph_traversals=perf["graph_traversals"],
@@ -51,9 +37,9 @@ def test_hotpaths_full_solve(benchmark, default_2k, cache_gate):
     )
 
 
-def test_hotpaths_contiguity_queries(benchmark, default_2k, cache_gate):
+def test_hotpaths_contiguity_queries(benchmark, default_2k):
     """Repeated ``remains_contiguous_without`` over every member of a
-    partially grown partition — the oracle's O(1)-vs-BFS inner loop."""
+    partially grown partition — the oracle's O(1) inner loop."""
     constraints = combo_constraints("MAS")
     state = _grow_state(default_2k, constraints)
     regions = [state.regions[rid] for rid in sorted(state.regions)]
@@ -71,12 +57,12 @@ def test_hotpaths_contiguity_queries(benchmark, default_2k, cache_gate):
         return verdicts
 
     verdicts = run_once(benchmark, drain)
-    benchmark.extra_info.update(cached=cache_gate, removable=verdicts)
+    benchmark.extra_info.update(removable=verdicts)
 
 
-def test_hotpaths_frontier_queries(benchmark, default_2k, cache_gate):
+def test_hotpaths_frontier_queries(benchmark, default_2k):
     """Frontier/adjacency queries over a partially grown partition —
-    the indexed-vs-scan pair behind growing and Phase-B swaps."""
+    the indexed lookups behind growing and Phase-B swaps."""
     constraints = combo_constraints("MAS")
     state = _grow_state(default_2k, constraints)
     regions = [state.regions[rid] for rid in sorted(state.regions)]
@@ -89,19 +75,5 @@ def test_hotpaths_frontier_queries(benchmark, default_2k, cache_gate):
         return touched
 
     touched = run_once(benchmark, drain)
-    benchmark.extra_info.update(cached=cache_gate, touched=touched)
+    benchmark.extra_info.update(touched=touched)
 
-
-def test_cached_and_uncached_solves_are_bit_identical(default_2k):
-    """The invariant the whole PR rests on, at benchmark scale."""
-    constraints = combo_constraints("MAS")
-    previous = set_hotpath_caches(True)
-    try:
-        with_caches = _solve(default_2k, constraints)
-        set_hotpath_caches(False)
-        without_caches = _solve(default_2k, constraints)
-    finally:
-        set_hotpath_caches(previous)
-    assert with_caches.partition.labels() == without_caches.partition.labels()
-    assert with_caches.heterogeneity == without_caches.heterogeneity
-    assert with_caches.p == without_caches.p

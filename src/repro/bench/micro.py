@@ -1,49 +1,42 @@
-"""Hot-path microbenchmark — cached vs uncached reference path.
+"""Hot-path microbenchmark — solver timings plus hot-path micro-ops.
 
-The incremental contiguity oracle and the frontier/adjacency indexes
-(PR "hot-path caches") must be *pure* accelerations: with caches
-disabled the solver recomputes everything from scratch, and both modes
-must produce bit-identical partitions for a fixed seed. This module
-measures the speedup and proves the identity in one run:
+The incremental contiguity oracle, the frontier/adjacency indexes and
+the maintained objective structures are the solver's only path (their
+naive counterparts live on as oracles in the test suite). This module
+measures them in one run:
 
     python -m repro.bench micro --output BENCH_hotpaths.json
 
-It solves the same dataset twice — once with hot-path caches enabled
-(the default) and once with them disabled via
-:func:`repro.core.perf.set_hotpath_caches` — then
+It solves one dataset and
 
-- **fails (exit code 2)** unless labels, ``p``, unassigned count and
-  heterogeneity match exactly between the two runs;
-- reports the wall-clock speedup and the reduction in full graph
-  traversals (Hopcroft–Tarjan / BFS passes) the oracle achieved;
+- reports the wall-clock, the perf counters (oracle hit rate, full
+  graph traversals, full-BFS contiguity checks) and the telemetry
+  span summary;
 - times the three hot-path queries in isolation (micro-ops):
   ``remains_contiguous_without``, ``unassigned_neighbors`` and
   ``adjacent_regions``.
 
-``--smoke`` shrinks the dataset so CI can assert the cached/uncached
-identity in seconds; the full-scale run that produced the checked-in
-``BENCH_hotpaths.json`` uses the defaults.
+``--smoke`` shrinks the dataset and skips the micro-ops so CI can run
+the harness in seconds; the full-scale run that produced the
+checked-in ``BENCH_hotpaths.json`` uses the defaults.
 
 Two further modes share the dataset/seed options:
 
 - ``--objective`` (:func:`run_objective`) targets the incremental
-  objective engine: it verifies the cached delta path against the
-  recompute-everything reference path, verifies that the Tabu
-  portfolio returns bit-identical partitions at every worker count
-  *and under both hot-path backends* (``numpy`` vs ``python`` — see
-  :mod:`repro.core.arrays`), and reports the delta fast-path rate
-  plus the tabu-phase speedup — the full-scale run produces the
-  checked-in ``BENCH_objective.json``;
+  objective engine: it verifies that the Tabu portfolio returns
+  bit-identical partitions at every worker count (exit 2 otherwise)
+  and reports the delta fast-path rate plus the tabu-phase wall-clock
+  against the checked-in hot-path record — the full-scale run
+  produces the checked-in ``BENCH_objective.json``;
 - ``--scaling`` (:func:`run_scaling`) sweeps the dataset registry
-  (2k/10k/25k/50k by default) once per backend, diffs the two
-  backends' partitions dataset by dataset (exit 2 on any divergence)
-  and reports the numpy-vs-python tabu-phase speedup — the full-scale
-  run produces the checked-in ``BENCH_scaling.json``. With
+  (2k/10k/25k/50k by default), one solve per dataset, and reports
+  per-phase wall-clock and the oracle/derive counters — the
+  full-scale run produces the checked-in ``BENCH_scaling.json``. With
   ``--perf-baseline`` the run's oracle-rebuild and candidate-
   evaluation rates are additionally graded WIN / NEUTRAL /
   REGRESSION against a checked-in record (exit 3 on REGRESSION);
-- ``--profile`` wraps one cached solve in :mod:`cProfile` and prints
-  the top cumulative-time entries — the optimization worklist.
+- ``--profile`` wraps one solve in :mod:`cProfile` and prints the top
+  cumulative-time entries — the optimization worklist.
 """
 
 from __future__ import annotations
@@ -52,12 +45,12 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from typing import Sequence
 
 from ..core import arrays as arrays_mod
 from ..core.area import AreaCollection
 from ..core.constraints import ConstraintSet
-from ..core.perf import set_hotpath_caches
 from ..data.datasets import load_dataset
 from ..fact.solver import FaCT
 from ..fact.state import SolutionState
@@ -147,32 +140,30 @@ def _solve_once(
     collection: AreaCollection,
     constraints: ConstraintSet,
     rng_seed: int,
-    cached: bool,
+    **overrides,
 ) -> dict:
-    """One full FaCT solve with the cache gate forced to *cached*.
-
-    Both modes run with (in-memory) telemetry on, so the wall-clock
-    comparison stays apples-to-apples and the record carries the span
-    summary.
-    """
-    config = bench_config(len(collection), rng_seed=rng_seed, enable_tabu=True)
+    """One full FaCT solve at the bench config (plus *overrides*, e.g.
+    ``n_jobs``/``tabu_portfolio``), with in-memory telemetry on so the
+    record carries the span summary."""
+    config = replace(
+        bench_config(len(collection), rng_seed=rng_seed, enable_tabu=True),
+        **overrides,
+    )
     telemetry = SolveTelemetry()
-    previous = set_hotpath_caches(cached)
-    try:
-        started = time.perf_counter()
-        solution = FaCT(config).solve(
-            collection, constraints, telemetry=telemetry
-        )
-        wall = time.perf_counter() - started
-    finally:
-        set_hotpath_caches(previous)
+    started = time.perf_counter()
+    solution = FaCT(config).solve(collection, constraints, telemetry=telemetry)
+    wall = time.perf_counter() - started
+    perf = solution.perf.as_dict() if solution.perf is not None else {}
     return {
         "wall_seconds": wall,
         "labels": solution.partition.labels(),
         "p": solution.p,
         "n_unassigned": solution.n_unassigned,
         "heterogeneity": solution.heterogeneity,
-        "perf": solution.perf.as_dict() if solution.perf is not None else {},
+        "status": solution.status.value,
+        "construction_seconds": solution.construction_seconds,
+        "tabu_seconds": perf.get("timings", {}).get("tabu", 0.0),
+        "perf": perf,
         "telemetry": _telemetry_block(telemetry),
     }
 
@@ -208,53 +199,48 @@ def _grow_state(
 def _time_micro_ops(
     collection: AreaCollection,
     constraints: ConstraintSet,
-    cached: bool,
     repeats: int = 3,
 ) -> dict[str, float]:
     """Mean per-call latency (µs) of the three hot-path queries."""
-    previous = set_hotpath_caches(cached)
-    try:
-        state = _grow_state(collection, constraints)
-        regions = [state.regions[rid] for rid in sorted(state.regions)]
+    state = _grow_state(collection, constraints)
+    regions = [state.regions[rid] for rid in sorted(state.regions)]
 
-        def contiguity() -> int:
-            calls = 0
-            for region in regions:
-                for area_id in sorted(region.area_ids):
-                    region.remains_contiguous_without(area_id)
-                    calls += 1
-            return calls
-
-        def frontier() -> int:
-            calls = 0
-            for region in regions:
-                state.unassigned_neighbors(region)
+    def contiguity() -> int:
+        calls = 0
+        for region in regions:
+            for area_id in sorted(region.area_ids):
+                region.remains_contiguous_without(area_id)
                 calls += 1
-            return calls
+        return calls
 
-        def adjacency() -> int:
-            calls = 0
-            for region in regions:
-                state.adjacent_regions(region)
-                calls += 1
-            return calls
+    def frontier() -> int:
+        calls = 0
+        for region in regions:
+            state.unassigned_neighbors(region)
+            calls += 1
+        return calls
 
-        timings: dict[str, float] = {}
-        for name, op in (
-            ("remains_contiguous_without", contiguity),
-            ("unassigned_neighbors", frontier),
-            ("adjacent_regions", adjacency),
-        ):
-            best = float("inf")
-            for _ in range(repeats):
-                started = time.perf_counter()
-                calls = op()
-                elapsed = time.perf_counter() - started
-                best = min(best, elapsed / max(1, calls))
-            timings[name] = best * 1e6
-        return timings
-    finally:
-        set_hotpath_caches(previous)
+    def adjacency() -> int:
+        calls = 0
+        for region in regions:
+            state.adjacent_regions(region)
+            calls += 1
+        return calls
+
+    timings: dict[str, float] = {}
+    for name, op in (
+        ("remains_contiguous_without", contiguity),
+        ("unassigned_neighbors", frontier),
+        ("adjacent_regions", adjacency),
+    ):
+        best = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            calls = op()
+            elapsed = time.perf_counter() - started
+            best = min(best, elapsed / max(1, calls))
+        timings[name] = best * 1e6
+    return timings
 
 
 def run_micro(
@@ -264,141 +250,46 @@ def run_micro(
     combo: str = "MAS",
     micro_ops: bool = True,
 ) -> dict:
-    """Run the cached/uncached comparison and return the result dict.
-
-    ``result["identical"]`` is the acceptance gate: ``False`` means the
-    caches changed solver behaviour and the build must fail.
-    """
+    """Solve once and time the hot-path queries; returns the result
+    dict."""
     collection = load_dataset(dataset, scale=scale)
     constraints = combo_constraints(combo)
-
-    cached = _solve_once(collection, constraints, rng_seed, cached=True)
-    uncached = _solve_once(collection, constraints, rng_seed, cached=False)
-
-    identical = (
-        cached["labels"] == uncached["labels"]
-        and cached["p"] == uncached["p"]
-        and cached["n_unassigned"] == uncached["n_unassigned"]
-        and cached["heterogeneity"] == uncached["heterogeneity"]
-    )
-    traversals_cached = max(1, cached["perf"].get("graph_traversals", 0))
-    traversals_uncached = uncached["perf"].get("graph_traversals", 0)
-    bfs_checks_cached = max(1, cached["perf"].get("full_bfs_checks", 0))
-    bfs_checks_uncached = uncached["perf"].get("full_bfs_checks", 0)
-
+    run = _solve_once(collection, constraints, rng_seed)
     result = {
         "benchmark": "hotpaths",
         "schema_version": BENCH_SCHEMA_VERSION,
-        "telemetry": cached["telemetry"],
+        "telemetry": run["telemetry"],
         "dataset": dataset,
         "scale": scale,
         "n_areas": len(collection),
         "combo": combo,
         "rng_seed": rng_seed,
-        "identical": identical,
-        "p": cached["p"],
-        "n_unassigned": cached["n_unassigned"],
-        "heterogeneity": cached["heterogeneity"],
-        "cached": {
-            "wall_seconds": round(cached["wall_seconds"], 4),
-            "perf": cached["perf"],
-        },
-        "uncached": {
-            "wall_seconds": round(uncached["wall_seconds"], 4),
-            "perf": uncached["perf"],
-        },
-        "speedup": round(
-            uncached["wall_seconds"] / max(1e-9, cached["wall_seconds"]), 3
-        ),
-        # Contiguity checks answered by a full BFS, uncached / cached —
-        # the oracle's headline: checks become O(1) lookups unless the
-        # check itself triggers the lazy rebuild.
-        "bfs_check_reduction": round(
-            bfs_checks_uncached / bfs_checks_cached, 3
-        ),
-        # All induced-subgraph passes (incl. oracle rebuilds), both
-        # modes — the conservative overall-work view.
-        "traversal_reduction": round(
-            traversals_uncached / traversals_cached, 3
-        ),
+        "p": run["p"],
+        "n_unassigned": run["n_unassigned"],
+        "heterogeneity": run["heterogeneity"],
+        "wall_seconds": round(run["wall_seconds"], 4),
+        "perf": run["perf"],
     }
     if micro_ops:
         result["micro_ops_us"] = {
-            "cached": {
-                name: round(value, 3)
-                for name, value in _time_micro_ops(
-                    collection, constraints, cached=True
-                ).items()
-            },
-            "uncached": {
-                name: round(value, 3)
-                for name, value in _time_micro_ops(
-                    collection, constraints, cached=False
-                ).items()
-            },
+            name: round(value, 3)
+            for name, value in _time_micro_ops(collection, constraints).items()
         }
     return result
 
 
-def _solve_objective_once(
-    collection: AreaCollection,
-    constraints: ConstraintSet,
-    rng_seed: int,
-    cached: bool,
-    n_jobs: int = 1,
-    tabu_portfolio: int = 1,
-    backend: str | None = None,
-) -> dict:
-    """One FaCT solve with explicit parallelism knobs, for the
-    objective-identity benchmark.
-
-    *backend* pins the hot-path backend explicitly (``"numpy"`` /
-    ``"python"``); ``None`` keeps the config default (``"auto"``).
-    """
-    from dataclasses import replace
-
-    config = replace(
-        bench_config(len(collection), rng_seed=rng_seed, enable_tabu=True),
-        n_jobs=n_jobs,
-        tabu_portfolio=tabu_portfolio,
-        **({} if backend is None else {"backend": backend}),
-    )
-    telemetry = SolveTelemetry()
-    previous = set_hotpath_caches(cached)
-    try:
-        started = time.perf_counter()
-        solution = FaCT(config).solve(
-            collection, constraints, telemetry=telemetry
-        )
-        wall = time.perf_counter() - started
-    finally:
-        set_hotpath_caches(previous)
-    perf = solution.perf.as_dict() if solution.perf is not None else {}
-    return {
-        "wall_seconds": wall,
-        "labels": solution.partition.labels(),
-        "p": solution.p,
-        "n_unassigned": solution.n_unassigned,
-        "heterogeneity": solution.heterogeneity,
-        "backend": solution.backend,
-        "status": solution.status.value,
-        "tabu_seconds": perf.get("timings", {}).get("tabu", 0.0),
-        "perf": perf,
-        "telemetry": _telemetry_block(telemetry),
-    }
-
-
 def _baseline_tabu_seconds(path: str) -> float | None:
-    """Tabu-phase seconds of the checked-in hot-path baseline, if the
-    file exists and carries them (PR2's ``BENCH_hotpaths.json``).
+    """Tabu-phase seconds of the checked-in hot-path record, if the
+    file exists and carries them.
 
-    Goes through :func:`read_bench_record`, so baselines of any schema
-    version are accepted."""
+    Goes through :func:`read_bench_record`, so records of any schema
+    version are accepted; records written before the single-path
+    harness nest the solve under ``"cached"``."""
     payload = read_bench_record(path)
     if payload is None:
         return None
     try:
-        value = payload["cached"]["perf"]["timings"]["tabu"]
+        value = payload.get("cached", payload)["perf"]["timings"]["tabu"]
     except (KeyError, TypeError):
         return None
     return float(value)
@@ -415,45 +306,25 @@ def run_objective(
 ) -> dict:
     """The objective-engine benchmark: delta fast path + portfolio.
 
-    Three checks in one run, mirroring the PR's acceptance gates:
-
-    - **identity** — cached vs uncached (reference-path) solves must
-      produce bit-identical partitions; the maintained sorted-values
-      structure and the heap move index are pure accelerations;
     - **fast-path rate** — share of objective delta queries served by
       the maintained structure without a full recompute
       (``delta_fastpath_rate`` from
       :class:`~repro.core.perf.PerfCounters`);
     - **worker invariance** — with the Tabu portfolio on, partitions
-      must be bit-identical at every ``n_jobs`` in *n_jobs_grid*;
-    - **backend parity** — when numpy is importable, every ``n_jobs``
-      in the grid is re-run under the *other* resolved backend
-      (``numpy`` vs ``python`` — see :mod:`repro.core.arrays`) and the
-      partitions must match the portfolio runs bit-for-bit.
+      must be bit-identical at every ``n_jobs`` in *n_jobs_grid*.
 
-    ``result["identical"]``, ``result["n_jobs_invariant"]`` and
-    ``result["backend_parity"]["identical"]`` are the failure gates;
-    tabu-phase wall-clock is reported against both the in-run uncached
-    solve and the checked-in PR2 baseline file.
+    ``result["n_jobs_invariant"]`` is the failure gate; tabu-phase
+    wall-clock is reported against the checked-in hot-path record.
     """
     collection = load_dataset(dataset, scale=scale)
     constraints = combo_constraints(combo)
 
-    cached = _solve_objective_once(collection, constraints, rng_seed, cached=True)
-    uncached = _solve_objective_once(
-        collection, constraints, rng_seed, cached=False
-    )
-    identical = (
-        cached["labels"] == uncached["labels"]
-        and cached["heterogeneity"] == uncached["heterogeneity"]
-    )
-
+    single = _solve_once(collection, constraints, rng_seed)
     portfolio_runs = {
-        n_jobs: _solve_objective_once(
+        n_jobs: _solve_once(
             collection,
             constraints,
             rng_seed,
-            cached=True,
             n_jobs=n_jobs,
             tabu_portfolio=tabu_portfolio,
         )
@@ -466,76 +337,35 @@ def run_objective(
         for run in portfolio_runs.values()
     )
 
-    # Backend parity: re-run the portfolio grid under the backend the
-    # runs above did NOT use and require bit-identical partitions.
-    default_backend = reference["backend"]
-    backend_parity: dict[str, object] = {
-        "default_backend": default_backend,
-        "other_backend": None,
-        "identical": True,
-        "n_jobs_identical": {},
-    }
-    if arrays_mod.numpy_available():
-        other = "python" if default_backend == "numpy" else "numpy"
-        backend_parity["other_backend"] = other
-        for n_jobs in n_jobs_grid:
-            run = _solve_objective_once(
-                collection,
-                constraints,
-                rng_seed,
-                cached=True,
-                n_jobs=n_jobs,
-                tabu_portfolio=tabu_portfolio,
-                backend=other,
-            )
-            same = (
-                run["labels"] == portfolio_runs[n_jobs]["labels"]
-                and run["heterogeneity"]
-                == portfolio_runs[n_jobs]["heterogeneity"]
-                and run["p"] == portfolio_runs[n_jobs]["p"]
-            )
-            backend_parity["n_jobs_identical"][str(n_jobs)] = same
-        backend_parity["identical"] = all(
-            backend_parity["n_jobs_identical"].values()
-        )
-
     baseline_tabu = _baseline_tabu_seconds(baseline_path)
-    tabu_cached = cached["tabu_seconds"]
+    tabu_seconds = single["tabu_seconds"]
     return {
         "benchmark": "objective",
         "schema_version": BENCH_SCHEMA_VERSION,
-        "telemetry": cached["telemetry"],
+        "telemetry": single["telemetry"],
         "dataset": dataset,
         "scale": scale,
         "n_areas": len(collection),
         "combo": combo,
         "rng_seed": rng_seed,
-        "identical": identical,
         "n_jobs_invariant": n_jobs_invariant,
-        "backend": cached["backend"],
-        "backend_parity": backend_parity,
-        "p": cached["p"],
-        "n_unassigned": cached["n_unassigned"],
-        "heterogeneity": cached["heterogeneity"],
-        "delta_fastpath_rate": cached["perf"].get("delta_fastpath_rate", 0.0),
-        "delta_fastpath": cached["perf"].get("delta_fastpath", 0),
-        "delta_recompute": cached["perf"].get("delta_recompute", 0),
-        "objective_struct_updates": cached["perf"].get(
+        "p": single["p"],
+        "n_unassigned": single["n_unassigned"],
+        "heterogeneity": single["heterogeneity"],
+        "delta_fastpath_rate": single["perf"].get("delta_fastpath_rate", 0.0),
+        "delta_fastpath": single["perf"].get("delta_fastpath", 0),
+        "delta_recompute": single["perf"].get("delta_recompute", 0),
+        "objective_struct_updates": single["perf"].get(
             "objective_struct_updates", 0
         ),
-        "tabu_seconds_cached": round(tabu_cached, 4),
-        "tabu_seconds_uncached": round(uncached["tabu_seconds"], 4),
-        "tabu_speedup_vs_uncached": round(
-            uncached["tabu_seconds"] / max(1e-9, tabu_cached), 3
-        ),
+        "tabu_seconds": round(tabu_seconds, 4),
         "tabu_baseline_seconds": baseline_tabu,
         "tabu_speedup_vs_baseline": (
-            round(baseline_tabu / max(1e-9, tabu_cached), 3)
+            round(baseline_tabu / max(1e-9, tabu_seconds), 3)
             if baseline_tabu is not None
             else None
         ),
-        "wall_seconds_cached": round(cached["wall_seconds"], 4),
-        "wall_seconds_uncached": round(uncached["wall_seconds"], 4),
+        "wall_seconds": round(single["wall_seconds"], 4),
         "portfolio": {
             "tabu_portfolio": tabu_portfolio,
             "runs": {
@@ -549,46 +379,12 @@ def run_objective(
             },
             "heterogeneity": reference["heterogeneity"],
             "improvement_over_single": round(
-                (cached["heterogeneity"] - reference["heterogeneity"])
-                / max(1e-9, cached["heterogeneity"]),
+                (single["heterogeneity"] - reference["heterogeneity"])
+                / max(1e-9, single["heterogeneity"]),
                 4,
             ),
         },
-        "cached_perf": cached["perf"],
-        "uncached_perf": uncached["perf"],
-    }
-
-
-def _solve_scaling_once(
-    collection: AreaCollection,
-    constraints: ConstraintSet,
-    rng_seed: int,
-    backend: str,
-) -> dict:
-    """One cached solve under an explicitly pinned backend."""
-    from dataclasses import replace
-
-    config = replace(
-        bench_config(len(collection), rng_seed=rng_seed, enable_tabu=True),
-        backend=backend,
-    )
-    telemetry = SolveTelemetry()
-    started = time.perf_counter()
-    solution = FaCT(config).solve(collection, constraints, telemetry=telemetry)
-    wall = time.perf_counter() - started
-    perf = solution.perf.as_dict() if solution.perf is not None else {}
-    return {
-        "wall_seconds": wall,
-        "labels": solution.partition.labels(),
-        "p": solution.p,
-        "n_unassigned": solution.n_unassigned,
-        "heterogeneity": solution.heterogeneity,
-        "backend": solution.backend,
-        "status": solution.status.value,
-        "construction_seconds": solution.construction_seconds,
-        "tabu_seconds": perf.get("timings", {}).get("tabu", 0.0),
-        "perf": perf,
-        "telemetry": _telemetry_block(telemetry),
+        "perf": single["perf"],
     }
 
 
@@ -598,38 +394,24 @@ def run_scaling(
     rng_seed: int = 7,
     workload: str = "enriched",
 ) -> dict:
-    """The backend-scaling benchmark: numpy vs python across sizes.
+    """The scaling benchmark: one solve per dataset size.
 
     The default *workload* is the six-constraint *enriched* set
     (:func:`repro.bench.workloads.enriched_constraints`) — the paper's
-    headline setting, and the regime the array backend targets: large
+    headline setting, and the regime the vector kernels target: large
     regions (the SUM threshold) and a constraint count where
-    per-candidate feasibility checking dominates the scalar Tabu
-    phase. Any ``MAS``-subset combo code is accepted instead for
-    narrower sweeps.
+    per-candidate feasibility checking dominates the Tabu phase. Any
+    ``MAS``-subset combo code is accepted instead for narrower sweeps.
 
-    Sweeps *datasets* (registry names) once per resolved backend with
-    the backend pinned explicitly through ``FaCTConfig.backend`` — so
-    one process measures both code paths — and, per dataset,
-
-    - diffs the two backends' partitions (labels, ``p``, unassigned
-      count, heterogeneity) — ``result["identical"]`` is the failure
-      gate: the numpy backend must be a *pure* acceleration;
-    - reports per-backend construction/tabu/total wall-clock and the
-      numpy-vs-python tabu-phase speedup (the headline the PR's
-      acceptance criteria gate on at 10k);
-    - records the run status so an interrupted cell (bench deadline)
-      is visible in the checked-in artifact rather than silently
-      truncated.
-
-    Without numpy the sweep degrades to a python-only measurement
-    (``identical`` stays True; there is nothing to diff against).
+    Per dataset the record carries the partition shape, the
+    construction/tabu/total wall-clock, the oracle and derive counters
+    and the run status (so an interrupted cell is visible in the
+    checked-in artifact rather than silently truncated). The timing
+    row sits under ``backends["numpy"]`` — the shape of the checked-in
+    ``BENCH_scaling.json``, which the perf gate and
+    :func:`repro.obs.progress.calibrate_weights` read.
     """
-    backends = (
-        ("python", "numpy") if arrays_mod.numpy_available() else ("python",)
-    )
     dataset_blocks: dict[str, dict] = {}
-    all_identical = True
     all_complete = True
     telemetry_block: dict = {}
     constraints = (
@@ -639,84 +421,46 @@ def run_scaling(
     )
     for name in datasets:
         collection = load_dataset(name, scale=scale)
-        runs = {
-            backend: _solve_scaling_once(
-                collection, constraints, rng_seed, backend
-            )
-            for backend in backends
-        }
-        reference = runs[backends[0]]
-        identical = all(
-            run["labels"] == reference["labels"]
-            and run["p"] == reference["p"]
-            and run["n_unassigned"] == reference["n_unassigned"]
-            and run["heterogeneity"] == reference["heterogeneity"]
-            for run in runs.values()
-        )
-        all_identical = all_identical and identical
-        all_complete = all_complete and all(
-            run["status"] == "complete" for run in runs.values()
-        )
-        block: dict[str, object] = {
+        run = _solve_once(collection, constraints, rng_seed)
+        all_complete = all_complete and run["status"] == "complete"
+        perf = run["perf"]
+        dataset_blocks[name] = {
             "n_areas": len(collection),
-            "identical": identical,
-            "p": reference["p"],
-            "n_unassigned": reference["n_unassigned"],
-            "heterogeneity": reference["heterogeneity"],
+            "p": run["p"],
+            "n_unassigned": run["n_unassigned"],
+            "heterogeneity": run["heterogeneity"],
             "backends": {
-                backend: {
+                "numpy": {
                     "wall_seconds": round(run["wall_seconds"], 4),
                     "construction_seconds": round(
                         run["construction_seconds"], 4
                     ),
                     "tabu_seconds": round(run["tabu_seconds"], 4),
                     "status": run["status"],
-                    "candidate_evaluations": run["perf"].get(
+                    "candidate_evaluations": perf.get(
                         "candidate_evaluations", 0
                     ),
-                    "vector_derives": run["perf"].get("vector_derives", 0),
-                    "oracle_rebuilds": run["perf"].get("oracle_rebuilds", 0),
-                    "oracle_incremental": run["perf"].get(
-                        "oracle_incremental", 0
-                    ),
-                    "oracle_fallbacks": run["perf"].get(
-                        "oracle_fallbacks", 0
-                    ),
-                    "oracle_incremental_rate": run["perf"].get(
+                    "vector_derives": perf.get("vector_derives", 0),
+                    "oracle_rebuilds": perf.get("oracle_rebuilds", 0),
+                    "oracle_incremental": perf.get("oracle_incremental", 0),
+                    "oracle_fallbacks": perf.get("oracle_fallbacks", 0),
+                    "oracle_incremental_rate": perf.get(
                         "oracle_incremental_rate", 0.0
                     ),
                 }
-                for backend, run in runs.items()
             },
         }
-        if len(backends) > 1:
-            numpy_run = runs["numpy"]
-            python_run = runs["python"]
-            block["tabu_speedup"] = round(
-                python_run["tabu_seconds"]
-                / max(1e-9, numpy_run["tabu_seconds"]),
-                3,
-            )
-            block["wall_speedup"] = round(
-                python_run["wall_seconds"]
-                / max(1e-9, numpy_run["wall_seconds"]),
-                3,
-            )
-            telemetry_block = numpy_run["telemetry"]
-        else:
-            telemetry_block = reference["telemetry"]
-        dataset_blocks[name] = block
+        telemetry_block = run["telemetry"]
     return {
         "benchmark": "scaling",
         "schema_version": BENCH_SCHEMA_VERSION,
         "telemetry": telemetry_block,
-        "backends": list(backends),
+        "backends": ["numpy"],
         "numpy_version": arrays_mod.numpy_version(),
         "scale": scale,
         "workload": workload,
         "constraints": [str(c) for c in constraints],
         "rng_seed": rng_seed,
-        "identical": all_identical,
         "all_complete": all_complete,
         "datasets": dataset_blocks,
     }
@@ -733,8 +477,8 @@ def _perf_rates(backend_row: dict) -> dict:
     (candidate, receiver) pairs priced per vector derive (a boundary-
     size proxy; a blowup means move derivation lost its dedup or
     feasibility pruning). The rate is ``None`` when the row predates
-    the counter or the denominator is empty (python rows have no
-    vector derives).
+    the counter or the denominator is empty (a run whose donors all
+    stayed below the vector cutoff has no vector derives).
     """
     rebuilds = backend_row.get("oracle_rebuilds")
     incremental = backend_row.get("oracle_incremental")
@@ -831,7 +575,7 @@ def compare_perf_to_baseline(result: dict, baseline: dict | None) -> dict:
 def _profile_solve(
     dataset: str, scale: float, rng_seed: int, combo: str, top: int = 25
 ) -> None:
-    """cProfile one cached solve and print the *top* cumulative-time
+    """cProfile one solve and print the *top* cumulative-time
     entries (the optimization worklist view)."""
     import cProfile
     import io
@@ -840,14 +584,10 @@ def _profile_solve(
     collection = load_dataset(dataset, scale=scale)
     constraints = combo_constraints(combo)
     config = bench_config(len(collection), rng_seed=rng_seed, enable_tabu=True)
-    previous = set_hotpath_caches(True)
     profiler = cProfile.Profile()
-    try:
-        profiler.enable()
-        FaCT(config).solve(collection, constraints)
-        profiler.disable()
-    finally:
-        set_hotpath_caches(previous)
+    profiler.enable()
+    FaCT(config).solve(collection, constraints)
+    profiler.disable()
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats("cumulative").print_stats(top)
@@ -863,8 +603,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench micro",
         description=(
-            "Measure the hot-path caches against the uncached reference "
-            "path and verify bit-identical solver output."
+            "Time a solve and the hot-path queries; objective and "
+            "scaling modes add the portfolio invariance check and the "
+            "perf-regression gate."
         ),
     )
     parser.add_argument("--dataset", default="2k", help="registry dataset name")
@@ -879,8 +620,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--smoke",
         action="store_true",
         help=f"CI mode: shrink the dataset to scale {_SMOKE_SCALE} and "
-        "skip micro-op timing; the cached/uncached identity check "
-        "still runs in full",
+        "skip micro-op timing",
     )
     parser.add_argument(
         "--output",
@@ -890,28 +630,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--objective",
         action="store_true",
-        help="objective-engine mode: verify the incremental objective "
-        "deltas (cached vs reference path) and the Tabu portfolio's "
+        help="objective-engine mode: verify the Tabu portfolio's "
         "n_jobs invariance; report the delta fast-path rate and the "
-        "tabu-phase speedup (emits BENCH_objective.json with --output)",
+        "tabu-phase wall-clock (emits BENCH_objective.json with "
+        "--output)",
     )
     parser.add_argument(
         "--scaling",
         action="store_true",
-        help="scaling mode: sweep --datasets once per backend (numpy "
-        "and python), diff the partitions per dataset and report the "
-        "numpy-vs-python tabu speedup (emits BENCH_scaling.json with "
-        "--output)",
+        help="scaling mode: solve each of --datasets once and report "
+        "per-phase wall-clock and the oracle/derive counters (emits "
+        "BENCH_scaling.json with --output)",
     )
     parser.add_argument(
         "--datasets",
         default="2k,10k,25k,50k",
         help="scaling mode: comma-separated registry dataset names to "
         "sweep (default 2k,10k,25k,50k). Full-scale runtime grows "
-        "steeply with size — expect roughly 1 min (2k), 5 min (10k), "
-        "8 min (25k) and 30-45 min (50k) per sweep, dominated by the "
-        "python-backend tabu phase; use --smoke (or trim --datasets) "
-        "for CI-sized runs",
+        "steeply with size; use --smoke (or trim --datasets) for "
+        "CI-sized runs",
     )
     parser.add_argument(
         "--perf-baseline",
@@ -952,7 +689,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="cProfile one cached solve and print the top-25 "
+        help="cProfile one solve and print the top-25 "
         "cumulative-time entries instead of benchmarking",
     )
     args = parser.parse_args(argv)
@@ -1008,22 +745,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     print(payload)
 
     if args.scaling:
-        if not result["identical"]:
+        for name, block in result["datasets"].items():
+            row = block["backends"]["numpy"]
             print(
-                "FAIL: numpy and python backends diverged — the array "
-                "backend changed solver behaviour",
+                f"{name}: p={block['p']} wall {row['wall_seconds']}s "
+                f"(tabu {row['tabu_seconds']}s, {row['status']})",
                 file=sys.stderr,
             )
-            return 2
-        speedups = ", ".join(
-            f"{name}: {block.get('tabu_speedup', 'n/a')}x tabu"
-            for name, block in result["datasets"].items()
-        )
-        print(
-            "OK: backends bit-identical on every dataset "
-            f"({'/'.join(result['backends'])}); {speedups}",
-            file=sys.stderr,
-        )
         gate = result.get("perf_gate")
         if gate is not None:
             for entry in gate["comparisons"]:
@@ -1050,13 +778,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"perf-gate overall: {gate['overall']}", file=sys.stderr)
         return 0
 
-    if not result["identical"]:
-        print(
-            "FAIL: cached and uncached runs diverged — the hot-path "
-            "caches changed solver behaviour",
-            file=sys.stderr,
-        )
-        return 2
     if args.objective:
         if not result["n_jobs_invariant"]:
             print(
@@ -1065,31 +786,24 @@ def main(argv: Sequence[str] | None = None) -> int:
                 file=sys.stderr,
             )
             return 2
-        if not result["backend_parity"]["identical"]:
-            print(
-                "FAIL: numpy and python backends diverged on the "
-                "portfolio grid — the array backend changed solver "
-                "behaviour",
-                file=sys.stderr,
-            )
-            return 2
         speedup_note = (
-            f"tabu speedup vs PR2 baseline {result['tabu_speedup_vs_baseline']}x"
+            "tabu speedup vs baseline record "
+            f"{result['tabu_speedup_vs_baseline']}x"
             if result["tabu_speedup_vs_baseline"] is not None
             else "no baseline file for tabu speedup comparison"
         )
         print(
-            "OK: identical output, n_jobs-invariant portfolio; delta "
-            f"fast-path rate {result['delta_fastpath_rate']:.2%}, "
-            f"tabu speedup vs reference path "
-            f"{result['tabu_speedup_vs_uncached']}x, {speedup_note}",
+            "OK: n_jobs-invariant portfolio; delta fast-path rate "
+            f"{result['delta_fastpath_rate']:.2%}, {speedup_note}",
             file=sys.stderr,
         )
         return 0
+    perf = result["perf"]
     print(
-        f"OK: identical output; speedup {result['speedup']}x, "
-        f"full-BFS check reduction {result['bfs_check_reduction']}x, "
-        f"graph-traversal reduction {result['traversal_reduction']}x",
+        f"OK: solved in {result['wall_seconds']}s; oracle hit rate "
+        f"{perf.get('oracle_hit_rate', 0.0):.2%}, "
+        f"{perf.get('full_bfs_checks', 0)} full-BFS checks, "
+        f"{perf.get('graph_traversals', 0)} graph traversals",
         file=sys.stderr,
     )
     return 0

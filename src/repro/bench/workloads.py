@@ -192,15 +192,15 @@ SCALING_SUM_THRESHOLD = 800_000.0
 """SUM(TOTALPOP) lower bound of the scaling benchmark workload.
 
 Roughly 250–300 areas per region on the synthetic census marginals.
-This is deliberately the *large-region* regime the array backend
-targets: every candidate move prices the full donor boundary against
+This is deliberately the *large-region* regime the vector kernels
+target: every candidate move prices the full donor boundary against
 eight constraints, so per-derive work grows with region size while
-per-move bookkeeping does not. Empirically the python backend's
+per-move bookkeeping does not. Empirically the scalar loop's
 per-candidate cost grows faster with region size than the vector
 path's (400k → 2.5x, 500k → 2.7x, 650k → 3.0x, 800k → 3.5x tabu-phase
 ratio on the 10k dataset), so the threshold sits where the benchmark
 exercises the separation without letting the shared Hopcroft–Tarjan
-rebuild dominate either backend. The threshold is fixed across
+rebuild dominate either path. The threshold is fixed across
 dataset sizes, so region granularity — and with it the per-move cost
 profile — stays comparable from 2k to 25k."""
 

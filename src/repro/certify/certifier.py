@@ -15,9 +15,9 @@ partition and re-derives every claim from the raw inputs only:
 - **constraints** — every ``(f, s, l, u)`` enriched constraint
   re-evaluated per region from freshly streamed attribute values
   (never a cached :class:`~repro.core.aggregates.AggregateState`);
-- **objective** — heterogeneity recomputed from scratch (the
-  ``REPRO_DISABLE_HOTPATH_CACHES`` reference semantics: no maintained
-  sorted structure, no incremental deltas) and compared against the
+- **objective** — heterogeneity recomputed from scratch (no
+  maintained sorted structure, no incremental deltas) and compared
+  against the
   solver's claimed value within a small float tolerance — incremental
   ``h += delta`` accumulation legitimately drifts by rounding, which
   is not a defect; a *structural* mismatch is.

@@ -34,11 +34,11 @@ symmetric upper term — O(log g) instead of the O(g log g) re-sort of
 the pre-structure implementation (``delta_fastpath`` vs
 ``delta_recompute``).
 
-Setting ``REPRO_DISABLE_HOTPATH_CACHES`` (see :mod:`repro.core.perf`)
-bypasses both caches and recomputes every verdict from scratch; both
-paths return bit-identical answers (the sorted multiset, the prefix
-accumulation order and the closed-form evaluation are the same in
-either mode).
+Both caches are the only path: the naive oracles they replace
+(:func:`repro.contiguity.graph.removable_set`, a BFS via
+:meth:`AreaCollection.is_contiguous`, a sort + ``accumulate`` per
+query) live on in the test suite, which checks the maintained
+structures against them.
 """
 
 from __future__ import annotations
@@ -47,12 +47,12 @@ from bisect import bisect_left, insort
 from itertools import accumulate
 from typing import Iterable, Iterator
 
-from ..contiguity.graph import BlockCutIndex, block_cut_state, removable_set
+from ..contiguity.graph import BlockCutIndex, block_cut_state
 from ..exceptions import ContiguityError, InvalidAreaError
 from .aggregates import Aggregate, AggregateState
 from .area import AreaCollection
 from .constraints import Constraint, ConstraintSet
-from .perf import PerfCounters, hotpath_caches_enabled
+from .perf import PerfCounters
 
 __all__ = ["Region"]
 
@@ -145,9 +145,10 @@ class Region:
         # derived caches keyed by (region id, version) — the Tabu
         # donor-side derive cache — survive neighbor-only dirtiness.
         self._version = 0
-        # Optional ArrayState sink (numpy backend): mirrored from the
-        # same call sites that update the scalar aggregates, so the
-        # flat label/aggregate vectors accumulate in identical order.
+        # Optional ArrayState sink (every solver state passes one):
+        # mirrored from the same call sites that update the scalar
+        # aggregates, so the flat label/aggregate vectors accumulate in
+        # identical order.
         self._array_state = array_state
         self.perf = perf
         for area_id in areas:
@@ -194,9 +195,8 @@ class Region:
         for name, state in self._aggregates.items():
             state.add(area.attributes[name])
         d = self._collection.dissimilarity(area_id)
-        # Delta over the *current* members, then insert — so the cached
-        # structure and the uncached reference both price the same
-        # multiset and the maintained total stays bit-identical.
+        # Delta over the *current* members, then insert — so the
+        # maintained total prices exactly the pre-insertion multiset.
         self._heterogeneity += self._abs_deviation_sum(d)
         self._dissimilarities[area_id] = d
         self._areas.add(area_id)
@@ -453,10 +453,6 @@ class Region:
         """True when the member areas form one connected component."""
         if not self._areas:
             return False
-        if not hotpath_caches_enabled():
-            if self.perf is not None:
-                self.perf.graph_traversals += 1
-            return self._collection.is_contiguous(self._areas)
         return self._oracle()[0]
 
     def removable_areas(self) -> frozenset[int]:
@@ -466,23 +462,15 @@ class Region:
         This is the oracle's batch view: the Tabu move-pool derivation
         consumes it directly instead of running its own articulation
         pass, and :meth:`remains_contiguous_without` is a membership
-        test against it. With the hot-path cache gate off
-        (:func:`repro.core.perf.hotpath_caches_enabled`), recomputes
-        from scratch on every call and stores nothing.
+        test against it.
         """
-        if not hotpath_caches_enabled():
-            if self.perf is not None:
-                self.perf.graph_traversals += 1
-            return removable_set(self._areas, self._collection.neighbors)[1]
         return self._oracle()[1]
 
     def remains_contiguous_without(self, area_id: int) -> bool:
         """True when removing *area_id* leaves a connected, non-empty
         region — i.e. the area is not an articulation point of the
         region's induced subgraph (the donor-side check of Step 3 and
-        the Tabu phase). O(1) between membership mutations; with the
-        cache gate off, one fresh BFS over the remaining members per
-        call (the pre-oracle reference behaviour)."""
+        the Tabu phase). O(1) between membership mutations."""
         if area_id not in self._areas:
             raise InvalidAreaError(
                 f"area {area_id} is not in region {self.region_id}"
@@ -490,14 +478,6 @@ class Region:
         perf = self.perf
         if perf is not None:
             perf.contiguity_checks += 1
-        if not hotpath_caches_enabled():
-            remaining = self._areas - {area_id}
-            if not remaining:
-                return False
-            if perf is not None:
-                perf.graph_traversals += 1
-                perf.full_bfs_checks += 1
-            return self._collection.is_contiguous(remaining)
         if perf is not None and self._contig_cache is None:
             # This check has to pay for the rebuild itself — the only
             # case where a check still costs a full graph pass.
@@ -538,14 +518,9 @@ class Region:
         One O(g) ``insort`` (a C-level memmove); the prefix sums are
         only marked dirty and rebuilt lazily in one ``accumulate`` pass
         at the next query, so a burst of mutations pays for a single
-        rebuild. With the cache gate off the structure is dropped and
-        every query recomputes from scratch.
+        rebuild.
         """
         self._struct_np = None
-        if not hotpath_caches_enabled():
-            self._sorted_d = None
-            self._prefix_d = None
-            return
         if self._sorted_d is not None:
             insort(self._sorted_d, d)
             self._prefix_d = None
@@ -555,10 +530,6 @@ class Region:
     def _struct_remove(self, d: float) -> None:
         """Remove one occurrence of *d* from the sorted structure."""
         self._struct_np = None
-        if not hotpath_caches_enabled():
-            self._sorted_d = None
-            self._prefix_d = None
-            return
         values = self._sorted_d
         if values is not None:
             index = bisect_left(values, d)
@@ -577,37 +548,24 @@ class Region:
 
         O(log g) off the maintained structure (one bisection, then
         ``rank * d - prefix[rank]`` plus the symmetric upper term);
-        O(g log g) from scratch on the first query of a fresh region or
-        whenever the hot-path cache gate is off. Both paths sort the
-        same multiset and accumulate the prefix sums in the same order,
-        so they return bit-identical values.
+        O(g log g) on the first query of a fresh region, which builds
+        the structure.
 
         A member whose own value equals *d* contributes 0, so the same
         query serves both "add an area with value d" and "remove the
         member with value d"."""
         perf = self.perf
-        if not hotpath_caches_enabled():
-            # Reference path: no stored structure, full recompute.
+        values = self._sorted_d
+        if values is None:
+            values = self._sorted_d = sorted(self._dissimilarities.values())
+            self._prefix_d = None
             if perf is not None:
                 perf.delta_recompute += 1
-            values = sorted(self._dissimilarities.values())
-            prefix = list(accumulate(values, initial=0.0))
-        else:
-            values = self._sorted_d
-            if values is None:
-                values = self._sorted_d = sorted(
-                    self._dissimilarities.values()
-                )
-                self._prefix_d = None
-                if perf is not None:
-                    perf.delta_recompute += 1
-            elif perf is not None:
-                perf.delta_fastpath += 1
-            prefix = self._prefix_d
-            if prefix is None:
-                prefix = self._prefix_d = list(
-                    accumulate(values, initial=0.0)
-                )
+        elif perf is not None:
+            perf.delta_fastpath += 1
+        prefix = self._prefix_d
+        if prefix is None:
+            prefix = self._prefix_d = list(accumulate(values, initial=0.0))
         if not values:
             return 0.0
         k = bisect_left(values, d)
@@ -617,11 +575,9 @@ class Region:
 
     def _struct_views(self) -> tuple[list[float], list[float]]:
         """The maintained ``(sorted values, prefix sums)`` lists,
-        building them lazily — the batch counterpart of the cached
-        branch of :meth:`_abs_deviation_sum`, used by the vectorized
-        Tabu scorer to price many deltas against one region at once.
-        With the hot-path cache gate off every mutation drops the
-        lists, so the first query after it rebuilds them from scratch."""
+        building them lazily — the batch counterpart of
+        :meth:`_abs_deviation_sum`, used by the vectorized Tabu scorer
+        to price many deltas against one region at once."""
         perf = self.perf
         values = self._sorted_d
         if values is None:
@@ -655,10 +611,9 @@ class Region:
     def sorted_dissimilarities(self) -> list[float]:
         """The member dissimilarities in non-decreasing order (a copy).
 
-        Served off the maintained structure when the cache gate is on;
-        suitable for ``pairwise_absolute_deviation(...,
-        assume_sorted=True)``."""
-        if hotpath_caches_enabled() and self._sorted_d is not None:
+        Served off the maintained structure; suitable for
+        ``pairwise_absolute_deviation(..., assume_sorted=True)``."""
+        if self._sorted_d is not None:
             return list(self._sorted_d)
         return sorted(self._dissimilarities.values())
 

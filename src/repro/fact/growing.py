@@ -37,7 +37,6 @@ import random
 from typing import Sequence
 
 from ..core.constraints import Constraint, ConstraintSet
-from ..core.perf import hotpath_caches_enabled
 from ..core.region import Region
 from ..obs.spans import NULL_TRACER
 from .config import FaCTConfig, PickupCriterion
@@ -53,7 +52,9 @@ _CLASS_BY_CODE = (_CLASS_AVG, _CLASS_LOW, _CLASS_HIGH)
 
 # Below this many candidates the numpy gather's fixed overhead beats
 # the scalar loop it replaces (same calibration story as
-# ``repro.fact.tabu._VECTOR_MIN_DONOR``).
+# ``repro.fact.tabu._VECTOR_MIN_DONOR``). Purely a dispatch heuristic:
+# both paths decide identically, and the parity tests monkeypatch it
+# to 0 or past any batch to force one path throughout.
 _VECTOR_MIN_BATCH = 16
 
 
@@ -130,26 +131,8 @@ def _classify_area(
     return _CLASS_AVG
 
 
-def _batch_arrays(state: SolutionState):
-    """The flat-array mirror when batch construction is allowed.
-
-    Mirrors the Tabu move pool's dispatch: the numpy backend must be
-    resolved (``FaCTConfig.backend`` through ``state.backend``), the
-    mirror built, and the hot-path cache gate on — the uncached
-    reference path stays the scalar loop. Returns ``None`` otherwise.
-    """
-    astate = state.array_state
-    if (
-        astate is None
-        or state.backend != "numpy"
-        or not hotpath_caches_enabled()
-    ):
-        return None
-    return astate.arrays
-
-
 class _AvgClasses:
-    """Area → AVG-range class, batch-precomputed on the numpy backend.
+    """Area → AVG-range class, batch-precomputed off the array mirror.
 
     An area's class depends only on its own attributes and the
     constraint bounds — never on solver state — so the vector path
@@ -157,9 +140,10 @@ class _AvgClasses:
     sweep per AVG constraint over the attribute columns, with an
     *undecided* mask replicating the scalar loop's
     first-violated-constraint ordering (a later constraint never
-    overrides an earlier verdict). Lookups are then O(1). The scalar
-    path defers to :func:`_classify_area` per query; both paths
-    compare the same float64 values, so every verdict is identical.
+    overrides an earlier verdict). Lookups are then O(1). Collections
+    below ``_VECTOR_MIN_BATCH`` areas defer to :func:`_classify_area`
+    per query instead; both paths compare the same float64 values, so
+    every verdict is identical.
     """
 
     __slots__ = ("_state", "_avgs", "_codes", "_index")
@@ -169,8 +153,8 @@ class _AvgClasses:
         self._avgs = avgs
         self._codes = None
         self._index = None
-        arrays = _batch_arrays(state)
-        if arrays is None or not avgs:
+        arrays = state.array_state.arrays
+        if not avgs or len(arrays) < _VECTOR_MIN_BATCH:
             return
         np = arrays.np
         n = len(arrays.index)
@@ -251,7 +235,7 @@ def _merge_off_range_seeds(
 ) -> None:
     """Algorithm 1 — grow each off-range seed into a valid region by
     absorbing unassigned opposite-extreme neighbors."""
-    arrays = _batch_arrays(state)
+    arrays = state.array_state.arrays
     for seed_id in off_range:
         if budget is not None:
             budget.checkpoint("construction.grow.seed")
@@ -281,7 +265,7 @@ def _pick_growth_area(
 ):
     """:func:`_pick` for area candidates priced against one region.
 
-    Under BEST pickup the numpy path prices the whole candidate batch
+    Under BEST pickup the vector path prices the whole candidate batch
     in one ``searchsorted`` sweep off the region's maintained
     sorted/prefix structure — the same closed form (and the same
     float64 operation order) as the scalar
@@ -294,7 +278,7 @@ def _pick_growth_area(
         return candidates[0]
     if config.pickup == PickupCriterion.RANDOM:
         return rng.choice(candidates)
-    if arrays is not None and len(candidates) >= _VECTOR_MIN_BATCH:
+    if len(candidates) >= _VECTOR_MIN_BATCH:
         np = arrays.np
         d = arrays.dissimilarity[arrays.positions(candidates)]
         values, prefix = region._struct_arrays(np)
@@ -322,12 +306,12 @@ def _opposite_extreme_neighbors(
     state: SolutionState,
     region: Region,
     violated: Constraint,
-    arrays=None,
+    arrays,
 ) -> list[int]:
     """Unassigned neighbors whose value lies beyond the *opposite*
     bound of the violated AVG constraint (Algorithm 1, line 18).
 
-    The numpy path masks one attribute gather over the (sorted)
+    The vector path masks one attribute gather over the (sorted)
     frontier instead of looping; filtering preserves the frontier
     order, and both paths compare the same float64 values, so the
     candidate list — and with it RNG consumption — is identical.
@@ -335,7 +319,7 @@ def _opposite_extreme_neighbors(
     running_average = region.constraint_value(violated)
     below = running_average < violated.lower
     frontier = state.unassigned_neighbors(region)
-    if arrays is not None and len(frontier) >= _VECTOR_MIN_BATCH:
+    if len(frontier) >= _VECTOR_MIN_BATCH:
         np = arrays.np
         values = arrays.attributes[violated.attribute][
             arrays.positions(frontier)

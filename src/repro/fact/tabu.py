@@ -101,15 +101,15 @@ _PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-# Donors smaller than this take the scalar derive even under the numpy
-# backend: the vector kernel pays a fixed cost per donor in a batch
-# (candidate sort, donor-side segments, pricing slices) that only
-# amortizes once the donor boundary yields a few dozen candidate
-# pairs. Both kernels are bit-identical by contract, so this is purely
-# a dispatch heuristic —
+# Donors smaller than this take the scalar derive: the vector kernel
+# pays a fixed cost per donor in a batch (candidate sort, donor-side
+# segments, pricing slices) that only amortizes once the donor
+# boundary yields a few dozen candidate pairs. Both kernels are
+# bit-identical by contract, so this is purely a dispatch heuristic —
 # small-region workloads (many tiny regions) run at scalar speed, the
 # scaling benchmark's 250+-area regions always vectorize. Tests
-# monkeypatch this to 0 to force the vector path on small fixtures.
+# monkeypatch this to 0 to force the vector path on small fixtures,
+# and past any donor size to force the scalar path on large ones.
 _VECTOR_MIN_DONOR = 32
 
 # In-search progress cadence: offer a `progress` event every this many
@@ -380,11 +380,7 @@ class _MovePool:
         # Batch candidate scoring off the flat-array mirror, only for
         # the paper objective: its deltas close over the maintained
         # sorted/prefix structure the vector kernel prices against.
-        self._vector = (
-            state.backend == "numpy"
-            and state.array_state is not None
-            and type(objective) is HeterogeneityObjective
-        )
+        self._vector = type(objective) is HeterogeneityObjective
         # Heap entries: (delta, area, receiver, donor, generation,
         # row index).
         self._heap: list[tuple[float, int, int, int, int, int]] = []
@@ -454,7 +450,7 @@ class _MovePool:
         to an adjacent region, with their heterogeneity deltas.
 
         Donors of at least ``_VECTOR_MIN_DONOR`` areas go through one
-        batched numpy kernel call when the backend allows; smaller
+        batched numpy kernel call under the paper objective; smaller
         donors take the scalar loop, whose per-donor cost beats the
         vector kernel's fixed overhead there. Both kernels produce the
         same row for the same donor — same moves, same deltas bit for

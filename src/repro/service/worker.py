@@ -318,7 +318,6 @@ class ServiceWorker:
             "job_id": job.job_id,
             "worker_id": self.worker_id,
             "attempt": job.attempts,
-            "backend": solution.backend,
             "summary": solution.summary(),
             "labels": labels,
         }

@@ -10,6 +10,8 @@ Provides small deterministic worlds the tests reason about exactly:
 - ``line5`` — a 5-area path graph (articulation-point scenarios).
 - ``tiny_census`` / ``small_census`` — synthetic census datasets of 30
   and 200 tracts for integration tests.
+- ``kernel`` — runs a test once per hot-path kernel (see
+  :func:`force_kernel`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import pytest
 
 from repro.core import Area, AreaCollection
 from repro.data import synthetic_census
+from repro.fact import growing, tabu
 
 # Chaos tests interrupt the solver mid-flight; a bug in the
 # interruption machinery shows up as a hang, not a failure. With no
@@ -51,6 +54,34 @@ def _chaos_watchdog(request):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# A cutoff past any input size: every size-dispatched hot path takes
+# its scalar loop.
+SCALAR_ONLY = 1 << 62
+
+
+def force_kernel(monkeypatch, kernel: str) -> None:
+    """Pin the size-dispatched hot paths to one kernel.
+
+    The Tabu move derive (``repro.fact.tabu._VECTOR_MIN_DONOR``) and
+    the batched construction paths
+    (``repro.fact.growing._VECTOR_MIN_BATCH``) pick the pure-Python
+    scalar loop or the numpy vector kernel by input size. ``"python"``
+    raises both cutoffs past any input, ``"numpy"`` drops them to 0.
+    Both kernels must decide bit-identically; worker processes forked
+    after the patch inherit it.
+    """
+    cutoff = {"python": SCALAR_ONLY, "numpy": 0}[kernel]
+    monkeypatch.setattr(tabu, "_VECTOR_MIN_DONOR", cutoff)
+    monkeypatch.setattr(growing, "_VECTOR_MIN_BATCH", cutoff)
+
+
+@pytest.fixture(params=["python", "numpy"])
+def kernel(request, monkeypatch):
+    """Run the test once with every hot path forced onto each kernel."""
+    force_kernel(monkeypatch, request.param)
+    return request.param
 
 
 def make_grid_collection(

@@ -1,4 +1,5 @@
-"""The array backend against its pure-Python reference oracle.
+"""The array mirror and vector kernels against their pure-Python
+oracles.
 
 Four property families:
 
@@ -6,15 +7,16 @@ Four property families:
   must be exact inverses on any induced subgraph, and the CSR view
   must drive the contiguity primitives (articulation points,
   removable sets) to the same verdicts as the dict-of-sets graph;
-- **canonical rebuild** — ``SolutionState.from_labels`` under the
-  numpy backend must produce bit-identical flat arrays regardless of
-  the label values used to describe the partition;
-- **backend selection** — config/env validation must fail loudly
-  naming the allowed values, and the precedence (explicit config >
-  ``REPRO_BACKEND`` > auto-detection) must hold;
-- **solve bit-identity** — a full solve must produce the identical
-  partition under both backends, and ``check_indexes`` must catch a
-  corrupted array mirror at the first divergence.
+- **canonical rebuild** — ``SolutionState.from_labels`` must produce
+  bit-identical flat arrays regardless of the label values used to
+  describe the partition;
+- **no backend switch** — the removed ``FaCTConfig.backend`` option
+  must fail loudly instead of being silently ignored;
+- **solve bit-identity** — a full solve with every hot path forced
+  onto the scalar loops must produce the identical partition as the
+  default dispatch and the forced vector kernels, and
+  ``check_indexes`` must catch a corrupted array mirror at the first
+  divergence.
 """
 
 from __future__ import annotations
@@ -31,23 +33,11 @@ from repro.contiguity.graph import (
     removable_set,
 )
 from repro.core import ConstraintSet, min_constraint, sum_constraint
-from repro.core import arrays as arrays_mod
 from repro.data import schema, synthetic_census
-from repro.exceptions import InvalidConstraintError
 from repro.fact import FaCT, FaCTConfig
 from repro.fact.state import SolutionState
 
-needs_numpy = pytest.mark.skipif(
-    not arrays_mod.numpy_available(), reason="numpy not importable"
-)
-
-
-@pytest.fixture
-def restore_backend():
-    """Restore the process-wide backend override after a test."""
-    previous = arrays_mod.set_active_backend(None)
-    yield
-    arrays_mod.set_active_backend(previous)
+from conftest import force_kernel
 
 
 def _constraints() -> ConstraintSet:
@@ -160,75 +150,26 @@ class TestCsrRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# backend selection and validation
+# the removed backend switch
 # ----------------------------------------------------------------------
 class TestBackendSelection:
-    def test_unknown_backend_names_the_options(self):
-        with pytest.raises(InvalidConstraintError) as excinfo:
-            arrays_mod.validate_backend("fortran")
-        message = str(excinfo.value)
-        for option in ("'auto'", "'numpy'", "'python'"):
-            assert option in message
-
-    def test_validation_is_case_insensitive(self):
-        assert arrays_mod.validate_backend("NumPy") == "numpy"
-
-    def test_resolved_validation_rejects_auto(self):
-        with pytest.raises(InvalidConstraintError) as excinfo:
-            arrays_mod.validate_backend("auto", resolved=True)
-        assert "'numpy', 'python'" in str(excinfo.value)
-
-    def test_env_typo_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "nmupy")
-        with pytest.raises(InvalidConstraintError) as excinfo:
-            arrays_mod.backend_from_env()
-        assert "nmupy" in str(excinfo.value)
-        assert "'python'" in str(excinfo.value)
-
-    def test_env_unset_or_blank_means_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert arrays_mod.backend_from_env() is None
-        monkeypatch.setenv("REPRO_BACKEND", "  ")
-        assert arrays_mod.backend_from_env() is None
-
-    def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert arrays_mod.resolve_backend("python") == "python"
-        if arrays_mod.numpy_available():
-            assert arrays_mod.resolve_backend("numpy") == "numpy"
-
-    def test_env_beats_auto_detection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert arrays_mod.resolve_backend("auto") == "python"
-        assert FaCTConfig(backend="auto").resolved_backend() == "python"
-
     def test_config_rejects_unknown_backend_at_construction(self):
-        with pytest.raises(InvalidConstraintError):
-            FaCTConfig(backend="bogus")
-
-    def test_override_round_trip(self, restore_backend, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        previous = arrays_mod.set_active_backend("python")
-        assert arrays_mod.active_backend() == "python"
-        arrays_mod.set_active_backend(previous)
-        with pytest.raises(InvalidConstraintError):
-            arrays_mod.set_active_backend("auto")
+        # The backend option is gone: an old caller must fail at
+        # construction, not run silently on an ignored setting.
+        with pytest.raises(TypeError, match="backend"):
+            FaCTConfig(backend="numpy")
 
 
 # ----------------------------------------------------------------------
 # canonical rebuild parity
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestFromLabelsArrayParity:
-    def test_rebuild_is_invariant_to_label_values(
-        self, restore_backend, tiny_census
-    ):
+    def test_rebuild_is_invariant_to_label_values(self, tiny_census):
         """Two label snapshots describing the same partition under
         different label values must rebuild into bit-identical flat
         arrays (the canonicalization contract of ``from_labels``)."""
-        arrays_mod.set_active_backend("numpy")
         constraints = _constraints()
-        solution = FaCT(FaCTConfig(rng_seed=3, backend="numpy")).solve(
+        solution = FaCT(FaCTConfig(rng_seed=3)).solve(
             tiny_census, constraints
         )
         labels = solution.partition.labels()
@@ -243,7 +184,6 @@ class TestFromLabelsArrayParity:
             tiny_census, constraints, shuffled
         )
         astate_a, astate_b = state_a.array_state, state_b.array_state
-        assert astate_a is not None and astate_b is not None
         np = astate_a.arrays.np
         assert np.array_equal(astate_a.labels, astate_b.labels)
         assert np.array_equal(
@@ -259,31 +199,23 @@ class TestFromLabelsArrayParity:
         state_a.check_indexes()
         state_b.check_indexes()
 
-    def test_check_indexes_catches_corrupted_labels(
-        self, restore_backend, tiny_census
-    ):
-        arrays_mod.set_active_backend("numpy")
+    def test_check_indexes_catches_corrupted_labels(self, tiny_census):
         state = SolutionState(tiny_census, _constraints())
         region = state.new_region()
         seed = sorted(state.unassigned)[0]
         state.assign(seed, region)
         astate = state.array_state
-        assert astate is not None
         state.check_indexes()
         astate.labels[astate.arrays.index[seed]] = 99
         with pytest.raises(AssertionError, match="label vector"):
             state.check_indexes()
 
-    def test_check_indexes_catches_corrupted_sums(
-        self, restore_backend, tiny_census
-    ):
-        arrays_mod.set_active_backend("numpy")
+    def test_check_indexes_catches_corrupted_sums(self, tiny_census):
         state = SolutionState(tiny_census, _constraints())
         region = state.new_region()
         for area_id in sorted(state.unassigned)[:3]:
             state.assign(area_id, region)
         astate = state.array_state
-        assert astate is not None
         state.check_indexes()
         name = astate.tracked[0]
         astate.region_sums[name][region.region_id] += 1.0
@@ -294,51 +226,45 @@ class TestFromLabelsArrayParity:
 # ----------------------------------------------------------------------
 # whole-solve bit-identity
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestSolveBitIdentity:
     @pytest.mark.parametrize("vector_min_donor", [None, 0])
     def test_backends_produce_identical_partitions(
         self, monkeypatch, vector_min_donor
     ):
-        """Bit-identity at the default dispatch cutoff AND with the
-        vector path forced on every donor (the small fixture regions
-        would otherwise all take the scalar path under both
-        backends, proving nothing about the vector kernels)."""
+        """Bit-identity between every hot path forced onto the scalar
+        loops and the default dispatch AND the vector derive forced on
+        every donor (the small fixture regions would otherwise all
+        take the scalar path, proving nothing about the vector
+        kernels)."""
         from repro.fact import tabu as tabu_mod
 
-        if vector_min_donor is not None:
-            monkeypatch.setattr(
-                tabu_mod, "_VECTOR_MIN_DONOR", vector_min_donor
-            )
         collection = synthetic_census(60, seed=11)
         constraints = _constraints()
-        results = {}
-        for backend in ("python", "numpy"):
-            solution = FaCT(
-                FaCTConfig(rng_seed=7, backend=backend)
-            ).solve(collection, constraints)
-            assert solution.backend == backend
-            assert solution.summary()["backend"] == backend
-            results[backend] = (
+
+        def solve():
+            solution = FaCT(FaCTConfig(rng_seed=7)).solve(
+                collection, constraints
+            )
+            result = (
                 solution.partition.labels(),
                 solution.p,
                 solution.heterogeneity,
             )
-            if backend == "numpy" and solution.perf is not None:
-                derives = solution.perf.as_dict().get("vector_derives", 0)
-                if vector_min_donor == 0:
-                    # forced: the kernels must actually have run, with
-                    # the hot-path caches on or off — the move table
-                    # does not read the cache gate
-                    assert derives > 0
-                else:
-                    # default cutoff: tiny donors all stay scalar
-                    assert derives == 0
-        assert results["python"] == results["numpy"]
+            return result, solution.perf.vector_derives
 
-    def test_auto_resolves_and_reports(self, restore_backend):
-        collection = synthetic_census(30, seed=5)
-        solution = FaCT(FaCTConfig(rng_seed=1)).solve(
-            collection, _constraints()
-        )
-        assert solution.backend in arrays_mod.RESOLVED_BACKENDS
+        with monkeypatch.context() as patch:
+            force_kernel(patch, "python")
+            scalar, scalar_derives = solve()
+        assert scalar_derives == 0
+        if vector_min_donor is not None:
+            monkeypatch.setattr(
+                tabu_mod, "_VECTOR_MIN_DONOR", vector_min_donor
+            )
+        dispatched, derives = solve()
+        if vector_min_donor == 0:
+            # forced: the kernels must actually have run
+            assert derives > 0
+        else:
+            # default cutoff: tiny donors all stay scalar
+            assert derives == 0
+        assert dispatched == scalar

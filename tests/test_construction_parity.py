@@ -1,12 +1,14 @@
-"""Backend parity for the construction phase (Step 2).
+"""Kernel parity for the construction phase (Step 2).
 
 The vectorized construction paths (``repro.fact.growing``: batch AVG
 classification, masked frontier filtering, batch growth pricing) must
-be invisible in the answer: under the numpy backend every substep has
-to make bit-identical decisions to the scalar python reference —
-same seed pickups (Substep 2.1 growth choices), same enclave
+be invisible in the answer: with the numpy kernels in play every
+substep has to make bit-identical decisions to the pure-Python scalar
+loops — same seed pickups (Substep 2.1 growth choices), same enclave
 assignments (Substep 2.2), same final labels — and the full
 construction pipeline must additionally be invariant to ``n_jobs``.
+The scalar side is forced by raising the size-dispatch cutoffs past
+any input (:func:`conftest.force_kernel`).
 
 These run on the registry's real 1k/2k census datasets, not synthetic
 toys: the vector paths only engage above ``_VECTOR_MIN_BATCH``
@@ -17,25 +19,17 @@ fallback.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 
 from repro.bench.runner import bench_config, bench_dataset
 from repro.bench.workloads import enriched_constraints
-from repro.core.arrays import (
-    numpy_available,
-    resolve_backend,
-    set_active_backend,
-)
 from repro.fact import FaCTConfig, check_feasibility, construct
 from repro.fact.growing import grow_regions
 from repro.fact.seeding import select_seeds
 from repro.fact.state import SolutionState
 
-pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not importable"
-)
+from conftest import force_kernel
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +42,11 @@ def dataset(request):
     return request.param, bench_dataset(request.param, scale=1.0)
 
 
-def _phase_labels(collection, constraints, backend):
-    """Run Step 2 substep by substep under a pinned backend and
-    snapshot the assignment after each phase (plus the perf counters,
-    to prove the vector paths actually engaged)."""
+def _phase_labels(monkeypatch, collection, constraints, kernel=None):
+    """Run Step 2 substep by substep — at the default size dispatch, or
+    with every hot path forced onto *kernel* — and snapshot the
+    assignment after each phase (plus the AVG classifier, to prove the
+    batch paths actually engaged)."""
     from repro.fact.growing import (
         _assign_enclaves,
         _AvgClasses,
@@ -59,19 +54,16 @@ def _phase_labels(collection, constraints, backend):
         _initialize_from_seeds,
     )
 
-    config = replace(
-        bench_config(len(collection), rng_seed=7, enable_tabu=False),
-        backend=backend,
-    )
-    previous = set_active_backend(resolve_backend(backend))
-    try:
+    with monkeypatch.context() as patch:
+        if kernel is not None:
+            force_kernel(patch, kernel)
+        config = bench_config(len(collection), rng_seed=7, enable_tabu=False)
         report = check_feasibility(collection, constraints, config)
         report.raise_if_infeasible()
         seeding = select_seeds(collection, constraints, report)
         state = SolutionState(
             collection, constraints, excluded=report.invalid_areas
         )
-        assert state.backend == backend
         rng = random.Random(config.rng_seed)
 
         def snapshot():
@@ -95,93 +87,104 @@ def _phase_labels(collection, constraints, backend):
             "final": snapshot(),
             "p": state.p,
             "n_unassigned": state.n_unassigned,
-            "perf": state.perf,
+            "classes": classes,
         }
-    finally:
-        set_active_backend(previous)
 
 
 class TestPhaseParity:
-    def test_every_substep_bit_identical(self, dataset, constraints):
+    def test_every_substep_bit_identical(
+        self, monkeypatch, dataset, constraints
+    ):
         _, collection = dataset
-        python = _phase_labels(collection, constraints, "python")
-        numpy = _phase_labels(collection, constraints, "numpy")
-        # Substep 2.1: identical seed pickups (growth choices included).
-        assert python["seeds"] == numpy["seeds"]
-        # Substep 2.2: identical enclave assignments.
-        assert python["enclaves"] == numpy["enclaves"]
-        # Post-extrema: identical final construction labels and shape.
-        assert python["final"] == numpy["final"]
-        assert python["p"] == numpy["p"] > 1
-        assert python["n_unassigned"] == numpy["n_unassigned"]
+        python = _phase_labels(monkeypatch, collection, constraints, "python")
+        for kernel in (None, "numpy"):
+            numpy = _phase_labels(monkeypatch, collection, constraints, kernel)
+            # Substep 2.1: identical seed pickups (growth choices
+            # included).
+            assert python["seeds"] == numpy["seeds"]
+            # Substep 2.2: identical enclave assignments.
+            assert python["enclaves"] == numpy["enclaves"]
+            # Post-extrema: identical final construction labels and
+            # shape.
+            assert python["final"] == numpy["final"]
+            assert python["p"] == numpy["p"] > 1
+            assert python["n_unassigned"] == numpy["n_unassigned"]
 
-    def test_numpy_engaged_vector_paths(self, dataset, constraints):
-        from repro.core.perf import hotpath_caches_enabled
+    def test_numpy_engaged_vector_paths(
+        self, monkeypatch, dataset, constraints
+    ):
+        from repro.core.arrays import CollectionArrays
 
-        if not hotpath_caches_enabled():
-            pytest.skip(
-                "vector construction paths are off by design on the "
-                "uncached reference run"
-            )
+        gathers = []
+        original = CollectionArrays.positions
+
+        def spy(self, area_ids):
+            gathers.append(len(area_ids))
+            return original(self, area_ids)
+
+        monkeypatch.setattr(CollectionArrays, "positions", spy)
         _, collection = dataset
-        perf = _phase_labels(collection, constraints, "numpy")["perf"]
-        # The batched growth pricing counts into delta_fastpath; a zero
-        # here means the whole run fell through to the scalar loop and
-        # the parity assertions above proved nothing about the vectors.
-        assert perf.delta_fastpath > 0
+        # Default dispatch: the collection-wide AVG classification is
+        # batched (the growth frontiers here stay below the cutoff).
+        default = _phase_labels(monkeypatch, collection, constraints)
+        assert default["classes"]._codes is not None
+        # Forced vector kernels: the growth paths gather candidate
+        # positions too. Without either, the parity assertions above
+        # would prove nothing about the vector kernels.
+        gathers.clear()
+        _phase_labels(monkeypatch, collection, constraints, "numpy")
+        assert gathers
+        gathers.clear()
+        scalar = _phase_labels(monkeypatch, collection, constraints, "python")
+        assert scalar["classes"]._codes is None
+        assert not gathers
 
 
 class TestWholeGrowParity:
-    def test_grow_regions_entrypoint(self, dataset, constraints):
-        # The public entry point (grow_regions) with both backends —
-        # same labels without reaching into the substep internals.
+    def test_grow_regions_entrypoint(self, monkeypatch, dataset, constraints):
+        # The public entry point (grow_regions) on both kernels — same
+        # labels without reaching into the substep internals.
         _, collection = dataset
-        results = {}
-        for backend in ("python", "numpy"):
-            config = replace(
-                bench_config(len(collection), rng_seed=7, enable_tabu=False),
-                backend=backend,
+
+        def grow():
+            config = bench_config(
+                len(collection), rng_seed=7, enable_tabu=False
             )
-            previous = set_active_backend(resolve_backend(backend))
-            try:
-                report = check_feasibility(collection, constraints, config)
-                seeding = select_seeds(collection, constraints, report)
-                state = SolutionState(
-                    collection, constraints, excluded=report.invalid_areas
-                )
-                grow_regions(
-                    state, seeding, config, random.Random(config.rng_seed)
-                )
-                results[backend] = (
-                    state.p,
-                    tuple(sorted(state.assignment.items())),
-                )
-            finally:
-                set_active_backend(previous)
-        assert results["python"] == results["numpy"]
+            report = check_feasibility(collection, constraints, config)
+            seeding = select_seeds(collection, constraints, report)
+            state = SolutionState(
+                collection, constraints, excluded=report.invalid_areas
+            )
+            grow_regions(state, seeding, config, random.Random(config.rng_seed))
+            return state.p, tuple(sorted(state.assignment.items()))
+
+        with monkeypatch.context() as patch:
+            force_kernel(patch, "python")
+            python = grow()
+        assert python == grow()
 
 
 class TestPipelineParity:
     @pytest.mark.parametrize("n_jobs", [1, 2, 4])
     def test_full_construction_invariant_to_backend_and_jobs(
-        self, n_jobs, constraints
+        self, monkeypatch, n_jobs, constraints
     ):
-        # The full multi-pass construction pipeline: final labels must
-        # be identical across backends at every worker count (the
-        # pass-distribution machinery must not reorder decisions).
+        # The full multi-pass construction pipeline: final labels at
+        # every worker count (the pass-distribution machinery must not
+        # reorder decisions) must equal the scalar-loop run.
         collection = bench_dataset("1k", scale=1.0)
-        outcomes = set()
-        for backend in ("python", "numpy"):
+
+        def build():
             config = FaCTConfig(
                 rng_seed=7,
                 construction_iterations=3,
                 n_jobs=n_jobs,
                 enable_tabu=False,
-                backend=backend,
             )
-            result = construct(collection, constraints, config)
-            partition = result.partition
-            outcomes.add(
-                (partition.p, tuple(sorted(partition.labels().items())))
-            )
-        assert len(outcomes) == 1
+            partition = construct(collection, constraints, config).partition
+            return partition.p, tuple(sorted(partition.labels().items()))
+
+        with monkeypatch.context() as patch:
+            force_kernel(patch, "python")
+            python = build()
+        assert python == build()

@@ -8,12 +8,12 @@ counted border/adjacency indexes through ``assign``/``move``/
 random mutation sequences and assert, after **every** mutation, that
 
 - every cached contiguity verdict matches a fresh BFS over the same
-  member set (the pre-oracle reference semantics),
+  member set (the pre-oracle reference semantics) and the standalone
+  :func:`repro.contiguity.graph.removable_set` pass,
 - the indexes match a from-scratch rederivation
   (``SolutionState.check_indexes``),
-- indexed queries return exactly what the scan fallback returns with
-  the hot-path cache gate off (the bit-identity the benchmark harness
-  and CI rely on).
+- indexed queries return exactly what a scan over the members'
+  adjacency, computed in the test, returns.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import random
 
 import pytest
 
+from repro.contiguity.graph import removable_set
 from repro.core import ConstraintSet, PerfCounters, sum_constraint
-from repro.core.perf import set_hotpath_caches
 from repro.core.region import Region
 from repro.fact.state import SolutionState
 
@@ -59,13 +59,11 @@ def assert_oracle_matches_reference(state):
             )
 
 
-def random_mutation_walk(state, rng, steps, mirror=None):
+def random_mutation_walk(state, rng, steps):
     """Drive *state* through a random mutation sequence.
 
     Only legal operations are attempted (areas exist, donors stay
-    non-empty). When *mirror* is given, the identical sequence is
-    applied to it so the two states stay comparable. Yields after
-    every applied mutation.
+    non-empty). Yields after every applied mutation.
     """
 
     def regions():
@@ -93,14 +91,10 @@ def random_mutation_walk(state, rng, steps, mirror=None):
         if op == "new_region":
             seed = rng.choice(sorted(state.unassigned))
             state.new_region([seed])
-            if mirror is not None:
-                mirror.new_region([seed])
         elif op == "assign":
             area_id = rng.choice(sorted(state.unassigned))
             region = rng.choice(regions())
             state.assign(area_id, region)
-            if mirror is not None:
-                mirror.assign(area_id, mirror.regions[region.region_id])
         elif op == "move":
             donor = rng.choice([r for r in regions() if len(r) > 1])
             area_id = rng.choice(sorted(donor.area_ids))
@@ -109,27 +103,16 @@ def random_mutation_walk(state, rng, steps, mirror=None):
             ]
             receiver = rng.choice(receivers)
             state.move(area_id, receiver)
-            if mirror is not None:
-                mirror.move(area_id, mirror.regions[receiver.region_id])
         elif op == "unassign":
             donor = rng.choice([r for r in regions() if len(r) > 1])
             area_id = rng.choice(sorted(donor.area_ids))
             state.unassign(area_id)
-            if mirror is not None:
-                mirror.unassign(area_id)
         elif op == "merge":
             keep, absorb = rng.sample(regions(), 2)
             state.merge_regions(keep, absorb)
-            if mirror is not None:
-                mirror.merge_regions(
-                    mirror.regions[keep.region_id],
-                    mirror.regions[absorb.region_id],
-                )
         elif op == "dissolve":
             region = rng.choice(regions())
             state.dissolve_region(region)
-            if mirror is not None:
-                mirror.dissolve_region(mirror.regions[region.region_id])
         yield op
 
 
@@ -172,7 +155,7 @@ class TestOracleMatchesFreshBFS:
 
 
 class TestCacheInvalidation:
-    def test_add_and_remove_invalidate(self, grid3, caches_on):
+    def test_add_and_remove_invalidate(self, grid3):
         perf = PerfCounters()
         region = Region(0, grid3, areas=[1, 2, 3], perf=perf)
         assert region.removable_areas() == frozenset({1, 3})
@@ -224,56 +207,68 @@ class TestCacheInvalidation:
         assert state.unassigned_neighbors(other) == [1, 2, 6, 7, 8]
 
 
+def scan_unassigned_neighbors(state, region):
+    """Frontier oracle: scan every member's adjacency."""
+    return sorted(
+        area_id
+        for area_id in state.collection.region_neighbors(region.area_ids)
+        if state.is_unassigned(area_id)
+    )
+
+
+def scan_adjacent_regions(state, region):
+    """Region-adjacency oracle: owners of the frontier areas."""
+    owners = {
+        state.assignment.get(area_id)
+        for area_id in state.collection.region_neighbors(region.area_ids)
+    }
+    owners.discard(None)
+    owners.discard(region.region_id)
+    return sorted(owners)
+
+
+def scan_donor_boundary(donor, receiver):
+    """Swap-candidate oracle: donor members touching the receiver."""
+    return sorted(a for a in donor.area_ids if receiver.touches(a))
+
+
 class TestIndexedQueriesMatchScanFallback:
     @pytest.mark.parametrize("seed", [5, 23])
     def test_bit_identical_query_results(self, seed):
-        """Indexed and fallback paths return identical (sorted) results
-        after every mutation — the invariant that makes cached and
-        uncached solver runs bit-identical."""
+        """Indexed queries and the contiguity oracle return exactly the
+        (sorted) answers of from-scratch scans after every mutation —
+        the invariant that makes the maintained structures pure
+        accelerations."""
         collection = make_grid_collection(5, 5)
-        indexed = SolutionState(collection, trivial_constraints())
-        previous = set_hotpath_caches(False)
-        try:
-            fallback = SolutionState(collection, trivial_constraints())
-        finally:
-            set_hotpath_caches(previous)
+        state = SolutionState(collection, trivial_constraints())
         rng = random.Random(seed)
-        for _ in random_mutation_walk(indexed, rng, 60, mirror=fallback):
-            assert indexed.assignment == fallback.assignment
-            for region_id in sorted(indexed.regions):
-                region = indexed.regions[region_id]
-                shadow = fallback.regions[region_id]
-                assert indexed.unassigned_neighbors(
+        for _ in random_mutation_walk(state, rng, 60):
+            for region_id in sorted(state.regions):
+                region = state.regions[region_id]
+                assert state.unassigned_neighbors(
                     region
-                ) == fallback.unassigned_neighbors(shadow)
+                ) == scan_unassigned_neighbors(state, region)
                 assert [
-                    r.region_id for r in indexed.adjacent_regions(region)
-                ] == [r.region_id for r in fallback.adjacent_regions(shadow)]
-                for other_id in sorted(indexed.regions):
+                    r.region_id for r in state.adjacent_regions(region)
+                ] == scan_adjacent_regions(state, region)
+                for other_id in sorted(state.regions):
                     if other_id == region_id:
                         continue
-                    assert indexed.donor_boundary(
-                        region, indexed.regions[other_id]
-                    ) == fallback.donor_boundary(
-                        shadow, fallback.regions[other_id]
-                    )
-
-
-@pytest.fixture
-def caches_on():
-    """Pin the hot-path caches ON for counter-accounting assertions —
-    they describe the cached oracle regardless of the ambient
-    ``REPRO_DISABLE_HOTPATH_CACHES`` (the CI matrix runs this suite
-    with it set)."""
-    previous = set_hotpath_caches(True)
-    try:
-        yield
-    finally:
-        set_hotpath_caches(previous)
+                    other = state.regions[other_id]
+                    assert state.donor_boundary(
+                        region, other
+                    ) == scan_donor_boundary(region, other)
+                members = region.area_ids
+                assert region.is_contiguous() == collection.is_contiguous(
+                    members
+                )
+                assert region.removable_areas() == frozenset(
+                    removable_set(members, collection.neighbors)[1]
+                )
 
 
 class TestPerfCounters:
-    def test_hits_and_rebuilds_accounting(self, grid3, caches_on):
+    def test_hits_and_rebuilds_accounting(self, grid3):
         perf = PerfCounters()
         region = Region(0, grid3, areas=[1, 2, 3], perf=perf)
         region.removable_areas()  # rebuild
@@ -284,24 +279,25 @@ class TestPerfCounters:
         assert perf.graph_traversals == 1
         assert perf.oracle_hit_rate == pytest.approx(2 / 3)
 
-    def test_full_bfs_checks_cached_vs_uncached(self, grid3, caches_on):
+    def test_full_bfs_checks_cached_vs_uncached(self, grid3):
+        """Three checks on one region cost one full pass — the check
+        that pays for the lazy rebuild. The uncached semantics the
+        oracle replaces, one fresh BFS per check, give the same
+        verdicts."""
         cached = PerfCounters()
         region = Region(0, grid3, areas=[1, 2, 3], perf=cached)
-        region.remains_contiguous_without(1)  # pays for the rebuild
-        region.remains_contiguous_without(2)  # O(1) lookup
-        region.remains_contiguous_without(3)  # O(1) lookup
+        verdicts = [
+            region.remains_contiguous_without(1),  # pays for the rebuild
+            region.remains_contiguous_without(2),  # O(1) lookup
+            region.remains_contiguous_without(3),  # O(1) lookup
+        ]
         assert cached.contiguity_checks == 3
         assert cached.full_bfs_checks == 1
-        uncached = PerfCounters()
-        shadow = Region(1, grid3, areas=[1, 2, 3], perf=uncached)
-        previous = set_hotpath_caches(False)
-        try:
-            for area_id in (1, 2, 3):
-                shadow.remains_contiguous_without(area_id)
-        finally:
-            set_hotpath_caches(previous)
-        assert uncached.contiguity_checks == 3
-        assert uncached.full_bfs_checks == 3
+        members = region.area_ids
+        uncached = [
+            grid3.is_contiguous(members - {area_id}) for area_id in (1, 2, 3)
+        ]
+        assert verdicts == uncached == [True, False, True]
 
     def test_merge_and_reset(self):
         first = PerfCounters()
@@ -332,7 +328,7 @@ class TestPerfCounters:
         assert payload["oracle_hit_rate"] == 0.5
         assert "tabu" in payload["timings"]
 
-    def test_state_threads_one_counter_into_regions(self, grid3, caches_on):
+    def test_state_threads_one_counter_into_regions(self, grid3):
         state = SolutionState(grid3, trivial_constraints())
         region = state.new_region([1, 2])
         assert region.perf is state.perf

@@ -206,21 +206,17 @@ class TestLoudAttributeValidation:
         with pytest.raises(DatasetError, match="feature 7"):
             self._load(self._document(census, poison))
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
-    def test_no_backend_ever_sees_a_nan(self, census, backend):
-        """Both solver backends are protected by the same load-time
-        rejection: the poisoned document never becomes a collection,
-        so the backend choice cannot re-open the NaN hole."""
-        from repro.core.arrays import numpy_available
+    def test_no_backend_ever_sees_a_nan(self, census, kernel):
+        """The scalar loops and the vector kernels are protected by the
+        same load-time rejection: the poisoned document never becomes
+        a collection, so the kernel dispatch cannot re-open the NaN
+        hole."""
         from repro.fact import FaCT, FaCTConfig
-
-        if backend == "numpy" and not numpy_available():
-            pytest.skip("numpy backend not importable")
 
         document = collection_to_feature_collection(census)
         document["features"][5]["properties"]["TOTALPOP"] = float("nan")
         with pytest.raises(DatasetError, match="non-finite-attribute"):
             collection = self._load(document)
-            FaCT(FaCTConfig(rng_seed=3, backend=backend)).solve(
+            FaCT(FaCTConfig(rng_seed=3)).solve(
                 collection, None
             )

@@ -7,11 +7,11 @@ Three layers of checks:
   incrementally maintained heterogeneity and sorted-values structure
   must agree with the O(g²) naive recompute, and every delta query
   must price exactly what a recompute-after-the-move would;
-- **gate equivalence** — the maintained-structure fast path and the
-  recompute-everything reference path
-  (``REPRO_DISABLE_HOTPATH_CACHES``) must be *bit-identical*, not just
-  approximately equal, because the bench identity check compares full
-  solver runs across the gate;
+- **reference equivalence** — the maintained-structure fast path must
+  be *bit-identical*, not just approximately equal, to a from-scratch
+  reference computed in the test (sort the member values, prefix-sum
+  them with ``accumulate``, evaluate the same closed form): the
+  maintained structure is an acceleration of exactly that arithmetic;
 - **worker invariance** — a fixed seed must produce the identical
   partition at every ``n_jobs``, with and without the Tabu portfolio.
 """
@@ -22,13 +22,14 @@ import random
 
 import pytest
 
+from bisect import bisect_left
+from itertools import accumulate
+
 from repro.core import ConstraintSet, min_constraint, sum_constraint
-from repro.core import arrays
 from repro.core.heterogeneity import (
     pairwise_absolute_deviation,
     pairwise_absolute_deviation_naive,
 )
-from repro.core.perf import set_hotpath_caches
 from repro.fact import FaCT, FaCTConfig
 from repro.fact.objectives import CompactnessObjective, HeterogeneityObjective
 from repro.fact.state import SolutionState
@@ -36,25 +37,30 @@ from repro.fact.state import SolutionState
 from conftest import make_grid_collection
 
 
-@pytest.fixture
-def gate():
-    """Restore the hot-path cache gate after a test flips it."""
-    yield set_hotpath_caches
-    set_hotpath_caches(True)
+def _reference_abs_deviation_sum(values, d: float) -> float:
+    """``sum_j |d - d_j|`` recomputed from scratch: sort, prefix-sum
+    with ``accumulate``, evaluate the closed form around the bisection
+    point — the arithmetic the maintained structure accelerates."""
+    values = sorted(values)
+    if not values:
+        return 0.0
+    prefix = list(accumulate(values, initial=0.0))
+    k = bisect_left(values, d)
+    below_sum = prefix[k]
+    above_sum = prefix[-1] - below_sum
+    return (d * k - below_sum) + (above_sum - d * (len(values) - k))
 
 
-@pytest.fixture(params=["python", "numpy"])
-def backend(request):
-    """Pin the solver-core backend for the duration of a test.
-
-    Under ``"numpy"`` every state built inside the test carries the
-    flat-array mirror, so ``check_indexes()`` validates the arrays
-    against the object graph after every mutation."""
-    if request.param == "numpy" and not arrays.numpy_available():
-        pytest.skip("numpy not importable")
-    previous = arrays.set_active_backend(request.param)
-    yield request.param
-    arrays.set_active_backend(previous)
+def _reference_heterogeneity(collection, insertions) -> float:
+    """A region's heterogeneity accumulated like ``Region.add_area``
+    does, each addition priced by the from-scratch reference."""
+    values: list[float] = []
+    total = 0.0
+    for area_id in insertions:
+        d = collection.dissimilarity(area_id)
+        total += _reference_abs_deviation_sum(values, d)
+        values.append(d)
+    return total
 
 
 def _random_world(seed: int, rows: int = 6, cols: int = 6):
@@ -143,45 +149,72 @@ def _random_mutations(state: SolutionState, rng: random.Random, steps: int):
 
 class TestIncrementalHeterogeneity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_mutations_match_naive_oracle(self, seed, backend):
+    def test_random_mutations_match_naive_oracle(self, seed):
+        # check_indexes() also validates the flat-array mirror against
+        # the object graph after every mutation.
         collection = _random_world(seed)
         state = SolutionState(collection, ConstraintSet())
-        assert state.backend == backend
         rng = random.Random(1000 + seed)
         for _ in _random_mutations(state, rng, steps=60):
             _check_all_regions(state)
             state.check_indexes()
 
-    def test_reference_path_matches_naive_oracle(self, gate):
-        """The same property holds with the maintained structure off."""
-        gate(False)
+    def test_reference_path_matches_naive_oracle(self):
+        """The test's from-scratch reference — the oracle the maintained
+        structure is held to bit for bit below — itself agrees with the
+        O(g²) naive recompute on every region after every mutation."""
         collection = _random_world(9)
         state = SolutionState(collection, ConstraintSet())
         rng = random.Random(1009)
         for _ in _random_mutations(state, rng, steps=40):
-            _check_all_regions(state)
+            for region in state.iter_regions():
+                values = [collection.dissimilarity(a) for a in region]
+                naive = pairwise_absolute_deviation_naive(values)
+                for area_id in sorted(region.area_ids):
+                    d = collection.dissimilarity(area_id)
+                    others = list(values)
+                    others.remove(d)
+                    assert -_reference_abs_deviation_sum(
+                        values, d
+                    ) == pytest.approx(
+                        pairwise_absolute_deviation_naive(others) - naive,
+                        abs=1e-6,
+                    )
 
-    def test_gate_paths_bit_identical(self, gate):
-        """Cached and reference paths must agree to the last bit on an
-        identical mutation sequence — approximate equality is not
-        enough for the solver-level identity check."""
-        runs = {}
-        for cached in (True, False):
-            gate(cached)
-            collection = _random_world(4)
-            state = SolutionState(collection, ConstraintSet())
-            rng = random.Random(77)
-            totals = []
-            deltas = []
-            for _ in _random_mutations(state, rng, steps=50):
-                totals.append(state.total_heterogeneity())
-                for region in state.iter_regions():
-                    for area_id in sorted(region.area_ids):
-                        deltas.append(
-                            region.heterogeneity_delta_remove(area_id)
-                        )
-            runs[cached] = (totals, deltas)
-        assert runs[True] == runs[False]
+    def test_gate_paths_bit_identical(self):
+        """The maintained path and the from-scratch reference agree to
+        the last bit on every delta query of a mutation sequence —
+        approximate equality is not enough, since solver decisions
+        compare deltas exactly."""
+        collection = _random_world(4)
+        state = SolutionState(collection, ConstraintSet())
+        rng = random.Random(77)
+        outside_probes = 0
+        for _ in _random_mutations(state, rng, steps=50):
+            for region in state.iter_regions():
+                values = [collection.dissimilarity(a) for a in region]
+                for area_id in sorted(region.area_ids):
+                    assert region.heterogeneity_delta_remove(
+                        area_id
+                    ) == -_reference_abs_deviation_sum(
+                        values, collection.dissimilarity(area_id)
+                    )
+                for area_id in sorted(state.unassigned)[:3]:
+                    outside_probes += 1
+                    assert region.heterogeneity_delta_add(
+                        area_id
+                    ) == _reference_abs_deviation_sum(
+                        values, collection.dissimilarity(area_id)
+                    )
+        assert outside_probes > 0
+        # A region grown in one ascending sequence accumulates exactly
+        # the reference's running total.
+        fresh = SolutionState(collection, ConstraintSet())
+        members = sorted(collection.ids)[:12]
+        region = fresh.new_region(members)
+        assert region.heterogeneity == _reference_heterogeneity(
+            collection, members
+        )
 
     def test_fastpath_counters_recorded(self):
         collection = _random_world(5)
@@ -221,22 +254,73 @@ class TestAssumeSorted:
         ) == pytest.approx(region.heterogeneity, abs=1e-9)
 
 
+def _compactness_from_membership(collection, regions) -> float:
+    """Centroid dispersion summed afresh over each region's members."""
+    total = 0.0
+    for members in regions:
+        points = [collection.area(a).polygon.centroid for a in members]
+        mx = sum(point.x for point in points) / len(points)
+        my = sum(point.y for point in points) / len(points)
+        total += sum((point.x - mx) ** 2 for point in points)
+        total += sum((point.y - my) ** 2 for point in points)
+    return total
+
+
 class TestCompactnessGate:
-    def test_gate_paths_agree(self, small_census, gate):
-        """Compactness maintained sums vs fresh recompute (approx: the
-        two paths accumulate floats in different orders)."""
+    def test_gate_paths_agree(self, small_census):
+        """Compactness maintained sums vs sums re-derived from the live
+        membership (approx: moves add and subtract terms a fresh pass
+        re-sums in another order)."""
         constraints = ConstraintSet(
             [sum_constraint("TOTALPOP", lower=20000)]
         )
-        totals = {}
-        for cached in (True, False):
-            gate(cached)
-            config = FaCTConfig(rng_seed=3, construction_iterations=1)
-            solution = FaCT(
-                config, objective=CompactnessObjective()
-            ).solve(small_census, constraints)
-            totals[cached] = solution.heterogeneity
-        assert totals[True] == pytest.approx(totals[False], rel=1e-9)
+        config = FaCTConfig(rng_seed=3, construction_iterations=1)
+        solution = FaCT(config, objective=CompactnessObjective()).solve(
+            small_census, constraints
+        )
+        assert solution.tabu is not None and solution.tabu.moves_applied > 0
+        assert solution.heterogeneity == pytest.approx(
+            _compactness_from_membership(
+                small_census, solution.partition.regions
+            ),
+            rel=1e-9,
+        )
+        # Drive the maintained sums through a long move sequence and
+        # re-sum from membership after every move.
+        state = SolutionState.from_labels(
+            small_census, constraints, solution.partition.labels()
+        )
+        objective = CompactnessObjective()
+        objective.attach(state)
+        rng = random.Random(3)
+        moves = 0
+        for _ in range(120):
+            donor = state.regions[rng.choice(sorted(state.regions))]
+            if len(donor) <= 1:
+                continue
+            area_id = rng.choice(sorted(donor.area_ids))
+            receivers = sorted(
+                {
+                    state.assignment[n]
+                    for n in small_census.neighbors(area_id)
+                    if state.assignment.get(n) not in (None, donor.region_id)
+                }
+            )
+            if not receivers:
+                continue
+            receiver = state.regions[rng.choice(receivers)]
+            predicted = objective.total() + objective.delta_move(
+                donor, receiver, area_id
+            )
+            state.move(area_id, receiver)
+            objective.apply_move(donor.region_id, receiver.region_id, area_id)
+            moves += 1
+            recomputed = _compactness_from_membership(
+                small_census, (region.area_ids for region in state.iter_regions())
+            )
+            assert objective.total() == pytest.approx(recomputed, rel=1e-9)
+            assert predicted == pytest.approx(recomputed, rel=1e-9)
+        assert moves > 50
 
 
 class TestWorkerInvariance:

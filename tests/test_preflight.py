@@ -4,7 +4,7 @@ Covers the three layers — raw-input lint, structure scan, per-
 constraint infeasibility diagnosis — plus the solver integration:
 disconnected geographies solve end to end via component decomposition
 with per-component provenance, bit-identically at any worker count and
-on both backends, and provably infeasible instances are rejected
+on both hot-path kernels, and provably infeasible instances are rejected
 *before* the construction phase ever starts.
 """
 
@@ -26,11 +26,10 @@ from repro import (
     run_preflight,
     sum_constraint,
 )
-from repro.core.arrays import numpy_available
 from repro.data import schema, synthetic_census
 from repro.preflight import scan_structure
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+from conftest import force_kernel
 
 
 def island_collection():
@@ -337,9 +336,8 @@ class TestSolverIntegration:
         assert plain.provenance == ()
         assert len(split.provenance) == 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     def test_decomposed_bit_identical_across_jobs_and_backends(
-        self, backend
+        self, kernel
     ):
         collection = island_collection()
         constraints = island_constraints()
@@ -350,7 +348,6 @@ class TestSolverIntegration:
                     rng_seed=11,
                     n_jobs=n_jobs,
                     decompose_components=True,
-                    backend=backend,
                 )
             ).solve(collection, constraints)
             results.append(solution)
@@ -370,19 +367,22 @@ class TestSolverIntegration:
                 entry.pop("seconds")  # wall-clock, legitimately varies
         assert provenance[0] == provenance[1] == provenance[2]
 
-    def test_both_backends_agree_on_decomposed_labels(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one backend available")
+    def test_both_backends_agree_on_decomposed_labels(self, monkeypatch):
+        # The scalar loops and the vector kernels: forced each way and
+        # at the default size dispatch.
         collection = island_collection()
         constraints = island_constraints()
-        labels = [
-            FaCT(
-                FaCTConfig(
-                    rng_seed=11, decompose_components=True, backend=backend
-                )
+
+        def labels():
+            return (
+                FaCT(FaCTConfig(rng_seed=11, decompose_components=True))
+                .solve(collection, constraints)
+                .partition.labels()
             )
-            .solve(collection, constraints)
-            .partition.labels()
-            for backend in BACKENDS
-        ]
-        assert labels[0] == labels[1]
+
+        results = [labels()]
+        for kernel in ("python", "numpy"):
+            with monkeypatch.context() as patch:
+                force_kernel(patch, kernel)
+                results.append(labels())
+        assert results[0] == results[1] == results[2]

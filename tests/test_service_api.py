@@ -52,6 +52,18 @@ class TestDispatch:
         )
         assert status == 400 and "max_attemps" in payload["error"]
 
+    def test_submit_rejects_removed_backend_option(self, api, store):
+        # FaCTConfig lost its backend field: an old client pinning it
+        # must fail loudly at submit, not run on an ignored setting.
+        status, payload = api.dispatch(
+            "POST", "/jobs", {}, dict(SPEC, config={"backend": "numpy"})
+        )
+        assert status == 400
+        assert payload["code"] == "job-error"
+        assert "invalid job config" in payload["error"]
+        assert "'backend'" in payload["error"]
+        assert store.jobs() == []
+
     def test_list_filters_by_state(self, api):
         api.dispatch("POST", "/jobs", {}, dict(SPEC))
         status, payload = api.dispatch(
