@@ -2,11 +2,11 @@
 
 Subcommands:
 
-- ``micro``  — hot-path cache microbenchmark (:mod:`repro.bench.micro`);
-  verifies cached vs uncached solver output is bit-identical and
-  reports the speedup. ``micro --objective`` checks the incremental
-  objective engine and the Tabu portfolio's worker-count invariance;
-  ``micro --profile`` prints a cProfile breakdown of one solve.
+- ``scaling`` — scaling sweep and perf-regression gate
+  (:mod:`repro.bench.scaling`): one solve per dataset size, per-phase
+  wall-clock and the oracle/derive counters; ``--perf-baseline``
+  grades them WIN / NEUTRAL / REGRESSION against a checked-in
+  ``BENCH_scaling.json``.
 - ``report`` — full paper-table/figure report run
   (:mod:`repro.bench.report`, also runnable directly as
   ``python -m repro.bench.report``).
@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import sys
 
-from . import micro, report
+from . import report, scaling
 
 _USAGE = """usage: python -m repro.bench <command> [options]
 
 commands:
-  micro    hot-path cache microbenchmark (cached vs uncached);
-           --objective for the incremental-objective/portfolio checks,
-           --profile for a cProfile breakdown
+  scaling  scaling sweep (one solve per dataset size);
+           --perf-baseline for the perf-regression gate
   report   generate EXPERIMENTS.md tables and figures
 
 run `python -m repro.bench <command> --help` for command options."""
@@ -35,8 +34,8 @@ def main(argv: list[str] | None = None) -> int:
         print(_USAGE)
         return 0
     command, rest = argv[0], argv[1:]
-    if command == "micro":
-        return micro.main(rest)
+    if command == "scaling":
+        return scaling.main(rest)
     if command == "report":
         return report.main(rest)
     print(f"unknown command: {command!r}\n\n{_USAGE}", file=sys.stderr)

@@ -29,10 +29,8 @@ and dropped on load.
 
 Records carry a ``schema_version``
 (:data:`repro.bench.runner.BENCH_SCHEMA_VERSION`, currently 2 — the
-version that added the ``telemetry`` summary block). The reader
-accepts older records: missing version-2 fields fall back to their
-defaults (``schema_version=1``, empty telemetry), so journals written
-before the telemetry PR keep replaying unchanged.
+version that added the ``telemetry`` summary block). A record without
+one is never replayed: its cell is solved again.
 """
 
 from __future__ import annotations
@@ -127,11 +125,16 @@ class RunJournal:
     def lookup(self, key: tuple) -> "ExperimentRow | None":
         """The replayable row for *key*, or ``None``.
 
-        Only ``status == "ok"`` rows replay; error/interrupted cells
-        are left for the caller to retry.
+        Only ``status == "ok"`` rows that carry a ``schema_version``
+        replay; error/interrupted cells and unversioned rows are left
+        for the caller to re-solve.
         """
         entry = self._rows.get(key)
-        if entry is None or entry.get("status") != "ok":
+        if (
+            entry is None
+            or entry.get("status") != "ok"
+            or "schema_version" not in entry
+        ):
             return None
         from .runner import ExperimentRow
 
@@ -140,11 +143,6 @@ class RunJournal:
             for name in ExperimentRow.__dataclass_fields__
             if name in entry
         }
-        # Version-1 records predate these fields; mark them as such
-        # instead of letting the current-version defaults claim they
-        # carry (empty) telemetry from a v2 run.
-        fields.setdefault("schema_version", 1)
-        fields.setdefault("telemetry", {})
         try:
             row = ExperimentRow(**fields)
         except TypeError:

@@ -53,9 +53,8 @@ _CELL_DEADLINE_ENV = "REPRO_BENCH_CELL_DEADLINE"
 
 # Version of the benchmark record layout (journal rows and the
 # BENCH_*.json payloads). Version 2 added ``schema_version`` itself and
-# the ``telemetry`` summary block; readers accept version-1 records
-# (the fields default) so existing journals and checked-in baselines
-# keep replaying.
+# the ``telemetry`` summary block; unversioned (version-1) journal rows
+# are solved again rather than replayed.
 BENCH_SCHEMA_VERSION = 2
 
 
@@ -150,7 +149,7 @@ class ExperimentRow:
     schema_version: int = BENCH_SCHEMA_VERSION
     # Telemetry summary of the measured solve (total spans and
     # per-phase wall-clock from the in-memory SolveTelemetry); empty
-    # for error rows, baseline (MP) rows and version-1 journal rows.
+    # for error rows and baseline (MP) rows.
     telemetry: dict = field(default_factory=dict)
 
     @property

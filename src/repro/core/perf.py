@@ -11,15 +11,13 @@ survive as oracles in the test suite. This module provides
 hits, rebuilds, full graph traversals and candidate evaluations, plus
 named wall-clock timings. One instance is owned by each
 ``SolutionState`` and surfaces on :class:`repro.fact.solver.
-EMPSolution` and in the microbenchmark harness.
+EMPSolution` and in the scaling benchmark.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from time import perf_counter
-
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["PerfCounters"]
 
@@ -110,19 +108,9 @@ class PerfCounters:
         Independent certification passes run over a partition
         (``FaCTConfig.certify``).
     timings:
-        Named wall-clock sections recorded via :meth:`time_section`
-        or :meth:`record_seconds` (per-phase timings come from the
-        solver facade).
-
-        .. deprecated:: PR 5
-            ``timings`` is now a read-only *view* over the
-            ``phase_seconds`` counters of this struct's backing
-            :class:`repro.obs.metrics.MetricsRegistry`
-            (:attr:`timing_metrics`) — the registry is the source of
-            truth and what the telemetry layer exports. The dict shape
-            (``{name: seconds}``) is preserved for every existing
-            consumer; mutate through :meth:`record_seconds` /
-            :meth:`time_section`, not by assigning to the view.
+        Named wall-clock sections as ``{name: seconds}``, recorded via
+        :meth:`time_section` or :meth:`record_seconds` (per-phase
+        timings come from the solver facade).
     """
 
     __slots__ = (
@@ -149,7 +137,7 @@ class PerfCounters:
         "checkpoint_writes",
         "checkpoint_replays",
         "certifications",
-        "_timing_metrics",
+        "timings",
     )
 
     _COUNTER_FIELDS = (
@@ -181,22 +169,9 @@ class PerfCounters:
     def __init__(self) -> None:
         for name in self._COUNTER_FIELDS:
             setattr(self, name, 0)
-        self._timing_metrics = MetricsRegistry()
+        self.timings: dict[str, float] = {}
 
     # ------------------------------------------------------------------
-    @property
-    def timings(self) -> dict[str, float]:
-        """Named wall-clock sections as ``{name: seconds}`` — a
-        compatibility view over :attr:`timing_metrics` (see the class
-        docstring's deprecation note)."""
-        return self._timing_metrics.label_values("phase_seconds", "phase")
-
-    @property
-    def timing_metrics(self) -> MetricsRegistry:
-        """The :class:`repro.obs.metrics.MetricsRegistry` backing the
-        named timings (``phase_seconds{phase=...}`` counters)."""
-        return self._timing_metrics
-
     @property
     def oracle_hit_rate(self) -> float:
         """Fraction of oracle lookups served without a rebuild."""
@@ -225,7 +200,7 @@ class PerfCounters:
 
     def record_seconds(self, name: str, seconds: float) -> None:
         """Accumulate wall-clock time under *name*."""
-        self._timing_metrics.counter("phase_seconds", phase=name).inc(seconds)
+        self.timings[name] = self.timings.get(name, 0.0) + seconds
 
     @contextmanager
     def time_section(self, name: str):
@@ -249,7 +224,7 @@ class PerfCounters:
         """Zero every counter and drop all timings."""
         for name in self._COUNTER_FIELDS:
             setattr(self, name, 0)
-        self._timing_metrics = MetricsRegistry()
+        self.timings = {}
 
     def as_dict(self) -> dict[str, object]:
         """Plain-dict view (JSON-serializable) for reports and bench

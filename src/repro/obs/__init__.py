@@ -9,7 +9,7 @@ Four pieces, designed to cost nothing when off:
   processes via serializable span contexts;
 - **metrics registry** (:mod:`~repro.obs.metrics`):
   counters/gauges/histograms with labels, per-phase snapshots and
-  deltas; absorbs (and backs) the legacy ``PerfCounters`` signals;
+  deltas; absorbs the solver's ``PerfCounters`` signals;
 - **run event log** (:mod:`~repro.obs.events`): an append-only JSONL
   record of spans, metric snapshots, budget/cancellation,
   fault-injection, pool retry/degradation and certification events,

@@ -1,10 +1,9 @@
 """Metrics registry: counters, gauges and histograms with labels.
 
 One :class:`MetricsRegistry` serves one solve (bundled in
-:class:`repro.obs.SolveTelemetry`) — and one backs every
-:class:`repro.core.perf.PerfCounters` instance, which is how the
-legacy named wall-clock timings migrated onto this layer without
-changing their public shape.
+:class:`repro.obs.SolveTelemetry`); :meth:`MetricsRegistry.absorb_perf`
+folds the solver's :class:`repro.core.perf.PerfCounters` (counters
+and named wall-clock timings) into it at phase boundaries.
 
 Instruments are identified by ``(name, sorted labels)``; requesting
 the same identity twice returns the same instrument::
@@ -16,8 +15,7 @@ the same identity twice returns the same instrument::
 :meth:`MetricsRegistry.snapshot` produces a JSON-ready view and
 :meth:`MetricsRegistry.delta` the numeric difference against an
 earlier snapshot — the per-phase snapshot/delta records in the run
-event log. Everything is plain picklable Python (registries ride
-inside ``PerfCounters`` across the worker-pool boundary).
+event log. Everything is plain picklable Python.
 
 The null objects (:data:`NULL_METRICS`) make the disabled path free:
 every instrument method is a no-op on a shared singleton.
@@ -175,8 +173,8 @@ class MetricsRegistry:
     # -- views ---------------------------------------------------------
     def label_values(self, name: str, label: str) -> dict[str, float]:
         """``{label value: instrument value}`` over every instrument
-        named *name* carrying *label* (the ``PerfCounters.timings``
-        compatibility view)."""
+        named *name* carrying *label* (e.g. the absorbed
+        ``phase_seconds{phase=...}`` timings)."""
         out: dict[str, float] = {}
         for (metric_name, label_key), instrument in self._instruments.items():
             if metric_name != name:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import os
 
 import pytest
 
 from repro.bench import (
+    RunJournal,
     bench_config,
     bench_dataset,
     bench_scale,
@@ -19,8 +21,17 @@ from repro.bench import (
     run_maxp,
     table3_rows,
     table4_rows,
+    use_journal,
 )
 from repro.bench import figures, tables, workloads
+from repro.bench.runner import BENCH_SCHEMA_VERSION
+from repro.bench.scaling import (
+    _perf_rates,
+    _perf_verdict,
+    compare_perf_to_baseline,
+    read_bench_record,
+    run_scaling,
+)
 from repro.data import schema, synthetic_census
 from repro.exceptions import InvalidConstraintError
 
@@ -121,8 +132,6 @@ class TestRunner:
 
 class TestBenchSchema:
     def test_fresh_rows_carry_current_schema(self, bench_census):
-        from repro.bench.runner import BENCH_SCHEMA_VERSION
-
         row = run_emp(
             bench_census, "M", dataset="t", enable_tabu=False, rng_seed=1
         )
@@ -137,11 +146,9 @@ class TestBenchSchema:
             row.telemetry["total_spans"]
         )
 
-    def test_v1_journal_records_still_replay(self, bench_census, tmp_path):
-        import json
-
-        from repro.bench import RunJournal, use_journal
-
+    def test_v1_journal_records_are_resolved(self, bench_census, tmp_path):
+        """A journal row without ``schema_version`` is not replayed:
+        its cell is solved again."""
         path = tmp_path / "journal.jsonl"
         with use_journal(RunJournal(str(path))):
             run_emp(
@@ -159,43 +166,25 @@ class TestBenchSchema:
 
         journal = RunJournal(str(path))
         with use_journal(journal):
-            replayed = run_emp(
+            row = run_emp(
                 bench_census, "M", dataset="t", enable_tabu=False, rng_seed=1
             )
-        assert journal.replayed == 1
-        assert replayed.schema_version == 1  # marked old, not re-defaulted
-        assert replayed.telemetry == {}
-        assert replayed.p > 0
+        assert journal.replayed == 0
+        assert row.schema_version == BENCH_SCHEMA_VERSION
+        assert row.telemetry["total_spans"] > 0
 
     def test_read_bench_record_accepts_old_records(self, tmp_path):
-        import json
-
-        from repro.bench.micro import read_bench_record
-
+        """Any JSON object loads as-is, with no defaults filled in."""
         path = tmp_path / "BENCH_tabu.json"
         path.write_text(json.dumps({"mean_seconds": 1.0, "n_areas": 300}))
         record = read_bench_record(str(path))
-        assert record["mean_seconds"] == 1.0
-        assert record["schema_version"] == 1
-        assert record["telemetry"] == {}
+        assert record == {"mean_seconds": 1.0, "n_areas": 300}
 
     def test_read_bench_record_missing_or_garbage(self, tmp_path):
-        from repro.bench.micro import read_bench_record
-
         assert read_bench_record(str(tmp_path / "absent.json")) is None
         garbage = tmp_path / "garbage.json"
         garbage.write_text("{ not json")
         assert read_bench_record(str(garbage)) is None
-
-    def test_micro_payload_carries_schema_and_telemetry(self):
-        from repro.bench.micro import run_micro
-        from repro.bench.runner import BENCH_SCHEMA_VERSION
-
-        result = run_micro(scale=0.02, micro_ops=False)
-        assert result["schema_version"] == BENCH_SCHEMA_VERSION
-        assert result["telemetry"]["total_spans"] > 0
-        assert result["p"] > 0
-        assert result["perf"]["contiguity_checks"] > 0
 
     def test_enriched_workload_covers_all_five_families(self):
         from repro.bench.workloads import enriched_constraints
@@ -215,13 +204,6 @@ class TestBenchSchema:
         with every field the baseline row carries that the harness
         still measures — so the perf gate can diff it against that
         baseline and progress calibration can read it."""
-        from repro.bench.micro import (
-            compare_perf_to_baseline,
-            read_bench_record,
-            run_scaling,
-        )
-        from repro.bench.runner import BENCH_SCHEMA_VERSION
-
         # Small but not tiny: the workload's SUM(TOTALPOP) >= 800k
         # lower bound needs enough areas for a non-degenerate p > 1
         # partition.
@@ -269,16 +251,12 @@ class TestPerfGate:
         }
 
     def test_rates_shape_and_values(self):
-        from repro.bench.micro import _perf_rates
-
         row = self._record(10, 990, 30_000, 200)
         rates = _perf_rates(row["datasets"]["2k"]["backends"]["numpy"])
         assert rates["oracle_rebuild_share"] == (0.01, 1000)
         assert rates["candidate_evals_per_derive"] == (150.0, 200)
 
     def test_rates_none_when_counters_missing_or_empty(self):
-        from repro.bench.micro import _perf_rates
-
         # A pre-oracle baseline row (only the old counter subset).
         old = {"candidate_evaluations": 5000, "vector_derives": 0}
         rates = _perf_rates(old)
@@ -286,8 +264,6 @@ class TestPerfGate:
         assert rates["candidate_evals_per_derive"] == (None, 0)
 
     def test_verdict_needs_relative_and_absolute_gap(self):
-        from repro.bench.micro import _perf_verdict
-
         # 3x relative blowup with a large absolute gap: regression.
         assert _perf_verdict(
             "candidate_evals_per_derive", 450.0, 150.0
@@ -306,8 +282,6 @@ class TestPerfGate:
         ) == "NEUTRAL"
 
     def test_compare_flags_regression(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
         baseline = self._record(10, 9990, 150_000, 1000)
         # Oracle silently falling back to full rebuilds: share 0.001→1.
         current = self._record(10_000, 0, 150_000, 1000)
@@ -320,8 +294,6 @@ class TestPerfGate:
         )
 
     def test_compare_insufficient_volume_is_neutral(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
         baseline = self._record(10, 9990, 150_000, 1000)
         # A smoke-scale run: 1 rebuild, 0 incremental, 3 derives — the
         # rates are garbage (share = 1.0) but there is no volume.
@@ -333,8 +305,6 @@ class TestPerfGate:
             assert entry["insufficient_volume"] is True
 
     def test_compare_without_baseline_is_neutral(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
         current = self._record(10, 9990, 150_000, 1000)
         for baseline in (None, {}, {"datasets": {}}):
             gate = compare_perf_to_baseline(current, baseline)
@@ -343,8 +313,6 @@ class TestPerfGate:
             assert gate["baseline_found"] is False
 
     def test_compare_reports_win(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
         # The pre-incremental world: every refresh was a full rebuild.
         baseline = self._record(10_000, 0, 150_000, 1000)
         current = self._record(10, 9990, 150_000, 1000)

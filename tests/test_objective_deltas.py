@@ -23,13 +23,17 @@ import random
 import pytest
 
 from bisect import bisect_left
+from dataclasses import replace
 from itertools import accumulate
 
+from repro.bench.runner import bench_config
+from repro.bench.workloads import combo_constraints
 from repro.core import ConstraintSet, min_constraint, sum_constraint
 from repro.core.heterogeneity import (
     pairwise_absolute_deviation,
     pairwise_absolute_deviation_naive,
 )
+from repro.data.datasets import load_dataset
 from repro.fact import FaCT, FaCTConfig
 from repro.fact.objectives import CompactnessObjective, HeterogeneityObjective
 from repro.fact.state import SolutionState
@@ -332,19 +336,29 @@ class TestWorkerInvariance:
             ]
         )
 
-    @pytest.mark.parametrize("portfolio", [1, 3])
-    def test_partition_invariant_across_n_jobs(self, small_census, portfolio):
-        partitions = []
-        for n_jobs in (1, 2, 4):
-            config = FaCTConfig(
-                rng_seed=7,
-                construction_iterations=4,
-                n_jobs=n_jobs,
-                tabu_portfolio=portfolio,
+    @pytest.mark.parametrize(
+        "portfolio, bench_2k",
+        [(1, False), (3, False), (3, True)],
+        ids=["1", "3", "2k-mas-bench"],
+    )
+    def test_partition_invariant_across_n_jobs(
+        self, small_census, portfolio, bench_2k
+    ):
+        collection, constraints = small_census, self._constraints()
+        config = FaCTConfig(rng_seed=7, construction_iterations=4)
+        if bench_2k:  # 2k at scale 0.08 under MAS and the bench config
+            collection = load_dataset("2k", scale=0.08)
+            constraints = combo_constraints("MAS")
+            config = bench_config(len(collection), rng_seed=7)
+        results = {
+            (solution.partition, repr(solution.heterogeneity))
+            for solution in (
+                FaCT(replace(config, n_jobs=n_jobs, tabu_portfolio=portfolio))
+                .solve(collection, constraints)
+                for n_jobs in (1, 2, 4)
             )
-            solution = FaCT(config).solve(small_census, self._constraints())
-            partitions.append(solution.partition)
-        assert partitions[0] == partitions[1] == partitions[2]
+        }
+        assert len(results) == 1
 
     def test_portfolio_never_worse_than_single(self, small_census):
         solutions = {}
