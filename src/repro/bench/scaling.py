@@ -115,14 +115,14 @@ def run_scaling(
     Per dataset the record carries the partition shape, the
     construction/tabu/total wall-clock, the oracle and derive counters
     and the run status (so an interrupted cell is visible in the
-    checked-in artifact rather than silently truncated). The timing
+    checked-in artifact rather than silently truncated), plus the
+    solve's span and phase summary under ``telemetry``. The timing
     row sits under ``backends["numpy"]`` — the shape of the checked-in
     ``BENCH_scaling.json``, which the perf gate and
     :func:`repro.obs.progress.calibrate_weights` read.
     """
     dataset_blocks: dict[str, dict] = {}
     all_complete = True
-    telemetry_block: dict = {}
     constraints = enriched_constraints()
     for name in datasets:
         collection = load_dataset(name, scale=scale)
@@ -165,12 +165,11 @@ def run_scaling(
                     ),
                 }
             },
+            "telemetry": _telemetry_block(telemetry),
         }
-        telemetry_block = _telemetry_block(telemetry)
     return {
         "benchmark": "scaling",
         "schema_version": BENCH_SCHEMA_VERSION,
-        "telemetry": telemetry_block,
         "backends": ["numpy"],
         "numpy_version": arrays_mod.numpy_version(),
         "scale": scale,

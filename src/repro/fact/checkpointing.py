@@ -53,7 +53,7 @@ import os
 from ..core.perf import PerfCounters
 from ..exceptions import CheckpointError
 from ..obs.telemetry import DISABLED
-from ..runtime import Budget, Interrupted, RunStatus
+from ..runtime import Budget, Interrupted
 from ..runtime.atomic import atomic_write_text
 
 __all__ = ["SolveLedger"]
@@ -174,86 +174,50 @@ class SolveLedger:
         )
 
     # ------------------------------------------------------------------
-    # construction passes
+    # units of work
     # ------------------------------------------------------------------
     @staticmethod
-    def _pass_key(attempt: int, index: int) -> str:
+    def pass_key(attempt: int, index: int) -> str:
+        """Ledger key of construction pass *index* of retry *attempt*."""
         return f"construction/{attempt}/{index}"
 
-    def lookup_pass(self, attempt: int, index: int):
-        """Replay a recorded construction pass, or ``None``.
+    @staticmethod
+    def member_key(member: int) -> str:
+        """Ledger key of Tabu portfolio member *member*."""
+        return f"tabu/{member}"
 
-        Returns the pass-result tuple ``(score_key, labels,
-        (p, n_unassigned), None, PerfCounters(), [])`` exactly as
-        :func:`repro.fact.pool.construction_pass_task` would. Replayed
-        units carry fresh (empty) perf counters and no spans —
-        hot-path counters and telemetry are diagnostics, not part of
-        the bit-identity contract, which covers the partition.
+    def lookup(self, key: str):
+        """Replay a recorded unit, or ``None``.
+
+        Returns the unit-result tuple ``(score, labels, info, None,
+        PerfCounters(), [])`` exactly as the unit's task function in
+        :mod:`repro.fact.pool` would. Replayed units carry fresh
+        (empty) perf counters and no spans — hot-path counters and
+        telemetry are diagnostics, not part of the bit-identity
+        contract, which covers the partition.
         """
-        stored = self.units.get(self._pass_key(attempt, index))
+        stored = self.units.get(key)
         if stored is None:
             return None
-        score_key, labels, scores = stored
+        score, labels, info = stored
         self.counters.checkpoint_replays += 1
         return (
-            tuple(score_key),
+            _thaw(score),
             {int(area_id): label for area_id, label in labels.items()},
-            tuple(scores),
+            _thaw(info),
             None,
             PerfCounters(),
             [],
         )
 
-    def record_pass(self, attempt: int, index: int, result,
-                    budget: Budget | None = None) -> None:
-        """Record one *completed* construction pass and snapshot the
-        file. Interrupted passes (``result[3] is not None``) are
-        ignored — see the module docstring."""
-        score_key, labels, scores, status = result[:4]
+    def record(self, key: str, result, budget: Budget | None = None) -> None:
+        """Record one *completed* unit and snapshot the file.
+        Interrupted units (``result[3] is not None``) are ignored — see
+        the module docstring."""
+        score, labels, info, status = result[:4]
         if status is not None:
             return
-        self.units[self._pass_key(attempt, index)] = [
-            list(score_key),
-            labels,
-            list(scores),
-        ]
-        self._snapshot(budget)
-
-    # ------------------------------------------------------------------
-    # tabu portfolio members
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _member_key(member: int) -> str:
-        return f"tabu/{member}"
-
-    def lookup_member(self, member: int):
-        """Replay a recorded portfolio member outcome, or ``None``."""
-        stored = self.units.get(self._member_key(member))
-        if stored is None:
-            return None
-        score, labels, stats = stored
-        self.counters.checkpoint_replays += 1
-        stats = dict(stats)
-        stats["status"] = RunStatus.COMPLETE
-        return (
-            score,
-            {int(area_id): label for area_id, label in labels.items()},
-            stats,
-            PerfCounters(),
-            [],
-        )
-
-    def record_member(self, member: int, outcome,
-                      budget: Budget | None = None) -> None:
-        """Record one *completed* portfolio member and snapshot the
-        file (interrupted members are recomputed on resume)."""
-        score, labels, stats = outcome[:3]
-        if stats.get("status") is not RunStatus.COMPLETE:
-            return
-        stored_stats = {
-            key: value for key, value in stats.items() if key != "status"
-        }
-        self.units[self._member_key(member)] = [score, labels, stored_stats]
+        self.units[key] = [_freeze(score), labels, _freeze(info)]
         self._snapshot(budget)
 
     # ------------------------------------------------------------------
@@ -295,3 +259,13 @@ class SolveLedger:
             os.unlink(self.path)
         except FileNotFoundError:
             pass
+
+
+def _freeze(value):
+    """A unit-result field in its JSON form (tuples become lists)."""
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _thaw(value):
+    """Inverse of :func:`_freeze` for a field read back from JSON."""
+    return tuple(value) if isinstance(value, list) else value

@@ -1,9 +1,11 @@
 """Persistent worker pool for the parallel parts of a solve.
 
-One :class:`SolverPool` is created per :meth:`FaCT.solve` call when
-``n_jobs > 1`` and lives across *all* parallel stages of that call —
-every construction pass of every retry attempt, then every Tabu
-portfolio member. The heavy, immutable payload (area collection,
+One :class:`SolverPool` of ``n_jobs`` workers is created per
+:meth:`FaCT.solve` call (per component of a decomposed one) and lives
+across *all* its units of work — every construction pass of every
+retry attempt, then every Tabu portfolio member — which
+:func:`run_units` runs in-process at one worker and on the pool's
+processes at more. The heavy, immutable payload (area collection,
 constraint set, excluded areas, config) is shipped to each worker
 process exactly once, through the executor's *initializer*; individual
 task submissions then carry only the per-task scalars (a seed, a label
@@ -41,7 +43,11 @@ from ..runtime import Budget, Interrupted, RetryPolicy, RunStatus
 from .config import FaCTConfig
 from .state import SolutionState
 
-__all__ = ["SolverPool"]
+__all__ = ["SolverPool", "run_units"]
+
+# How often the parent re-checks its budget while waiting on worker
+# processes (workers also enforce their own deadlines).
+_POLL_SECONDS = 0.05
 
 # The per-process payload installed by the pool initializer. One tuple
 # (collection, constraints, excluded, config) per worker process.
@@ -73,10 +79,10 @@ def construction_pass_task(
     seeding,
     pass_seed: int,
     config_override: FaCTConfig | None = None,
+    pass_index: int | None = None,
     deadline_seconds: float | None = None,
     budget: Budget | None = None,
     span_context=None,
-    pass_index: int | None = None,
 ) -> tuple:
     """One construction pass against the installed worker context.
 
@@ -87,7 +93,8 @@ def construction_pass_task(
     actual randomness comes from *pass_seed* either way. In-process
     callers pass their live *budget* (cancellation token included);
     worker submissions pass *deadline_seconds* instead and get a local
-    one.
+    one — the trailing ``(deadline_seconds, budget, span_context)``
+    triple every unit task shares (see :func:`run_units`).
 
     *span_context* (a :meth:`repro.obs.Tracer.context` value) roots
     this pass's telemetry under the parent's current span; the
@@ -151,8 +158,9 @@ def portfolio_member_task(
     Rebuilds the member's starting state canonically from *labels*,
     runs the full Tabu search (perturbed first when
     ``perturbation_moves > 0``) and returns ``(best_score,
-    best_labels, stats, perf, spans)``. Deterministic in its arguments
-    — the serial portfolio path calls this very function in-process.
+    best_labels, stats, status, perf, spans)`` — *status* is ``None``
+    for a complete search, like a construction pass's. Deterministic
+    in its arguments, wherever it runs.
 
     *span_context* roots the member's telemetry under the parent's
     ``tabu`` span (see :func:`construction_pass_task`).
@@ -197,15 +205,141 @@ def portfolio_member_task(
         "iterations": result.iterations,
         "moves_applied": result.moves_applied,
         "elapsed_seconds": result.elapsed_seconds,
-        "status": result.status,
     }
     return (
         result.heterogeneity_after,
         best_labels,
         stats,
+        None if result.status is RunStatus.COMPLETE else result.status,
         state.perf,
         list(tracer.finished),
     )
+
+
+def run_units(
+    pool: "SolverPool",
+    task,
+    units: list[tuple],
+    *,
+    phase: str,
+    start_checkpoint: str | None,
+    budget: Budget,
+    config: FaCTConfig,
+    ledger=None,
+    runtime_perf: PerfCounters | None = None,
+    telemetry=DISABLED,
+) -> tuple[list[tuple], RunStatus | None]:
+    """Run one phase's units of work — construction passes or Tabu
+    portfolio members — and return their results in unit order with
+    the interruption status (``None`` when every unit completed).
+
+    Each unit is an ``(args, ledger_key, tags)`` triple: *task* runs as
+    ``task(*args, deadline_seconds, budget, span_context)`` and returns
+    a tuple whose index 3 is the unit's own interruption status and
+    index 5 its finished spans. A unit recorded on *ledger* under
+    *ledger_key* is replayed instead of run (announced by a
+    ``checkpoint.replay`` event carrying *phase* and *tags*); a freshly
+    completed one is recorded. Every unit emits a *phase* ``progress``
+    event with its *tags*.
+
+    With one worker the units run in order in-process on the live
+    *budget*: each first passes *start_checkpoint* (``None`` checks the
+    budget's status only), every result passes ``pool.result``, and the
+    loop stops after an interrupted unit. With more, the units not on
+    the ledger fan out through :meth:`SolverPool.collect_resilient`,
+    each with the budget's remaining time as its own deadline, after a
+    single *start_checkpoint*. Spans are adopted in unit order either
+    way, so the result — and the event log's span order — never depends
+    on where or when a unit ran.
+    """
+    span_context = telemetry.span_context()
+    results: dict[int, tuple] = {}
+
+    def _start() -> RunStatus | None:
+        if start_checkpoint is None:
+            return budget.status()
+        try:
+            budget.checkpoint(start_checkpoint)
+        except Interrupted as signal:
+            return signal.status
+        return None
+
+    def _replay(index: int):
+        _args, key, tags = units[index]
+        result = ledger.lookup(key) if ledger is not None else None
+        if result is not None:
+            telemetry.event("checkpoint.replay", phase=phase, **tags)
+        return result
+
+    def _record(index: int, result) -> None:
+        if ledger is not None:
+            ledger.record(units[index][1], result, budget)
+
+    def _done(index: int, result) -> None:
+        results[index] = result
+        telemetry.progress(
+            phase, done=len(results), total=len(units), **units[index][2]
+        )
+
+    status: RunStatus | None = None
+    if pool.max_workers == 1:
+        for index, (args, _key, _tags) in enumerate(units):
+            status = _start()
+            if status is not None:
+                break
+            result = _replay(index)
+            if result is None:
+                result = pool.run_local(task, *args, None, budget, span_context)
+                _record(index, result)
+            try:
+                budget.checkpoint("pool.result")
+            except Interrupted:
+                pass  # observed at the next unit's start check
+            _done(index, result)
+            if result[3] is not None:
+                status = result[3]
+                break
+    else:
+        status = _start()
+        if status is not None:
+            return [], status
+        to_run = []
+        for index in range(len(units)):
+            result = _replay(index)
+            if result is None:
+                to_run.append(index)
+            else:
+                _done(index, result)
+
+        def _collected(position: int, result) -> None:
+            # collect_resilient has already passed pool.result.
+            _record(to_run[position], result)
+            _done(to_run[position], result)
+
+        remaining = budget.remaining()
+        _collected, status = pool.collect_resilient(
+            task,
+            [units[i][0] + (remaining, None, span_context) for i in to_run],
+            [units[i][0] + (None, budget, span_context) for i in to_run],
+            budget=budget,
+            perf=runtime_perf,
+            retry_policy=config.pool_retry_policy(),
+            task_deadline=config.worker_task_deadline_seconds,
+            on_result=_collected,
+            poll_seconds=_POLL_SECONDS,
+            telemetry=telemetry,
+        )
+
+    ordered = [results[index] for index in sorted(results)]
+    for result in ordered:
+        telemetry.adopt_spans(result[5])
+    if status is None:
+        # A worker may have tripped its local deadline even though the
+        # parent never observed its own budget as expired.
+        status = next(
+            (result[3] for result in ordered if result[3] is not None), None
+        )
+    return ordered, status
 
 
 class SolverPool:
@@ -267,7 +401,6 @@ class SolverPool:
         *,
         budget: Budget | None = None,
         perf: PerfCounters | None = None,
-        retries: int = 1,
         retry_policy: RetryPolicy | None = None,
         task_deadline: float | None = None,
         on_result=None,
@@ -281,9 +414,8 @@ class SolverPool:
         result depends only on its arguments, so the caller's
         index-ordered reduction is unaffected by *where* each task
         eventually ran. Re-dispatch follows *retry_policy* (a
-        :class:`repro.runtime.RetryPolicy`; when omitted, one is built
-        from *retries* with immediate resubmission — the historical
-        behaviour). A policy with a non-zero base delay defers
+        :class:`repro.runtime.RetryPolicy`; when omitted, one immediate
+        resubmission). A policy with a non-zero base delay defers
         resubmission by its deterministically jittered backoff instead
         of hammering a struggling pool. The failure escalation:
 
@@ -316,7 +448,7 @@ class SolverPool:
         perf = perf if perf is not None else PerfCounters()
         telemetry = telemetry if telemetry is not None else DISABLED
         if retry_policy is None:
-            retry_policy = RetryPolicy(max_attempts=retries + 1)
+            retry_policy = RetryPolicy(max_attempts=2)
         results: dict[int, object] = {}
         # attempts[i] counts *failed* attempts of task i so far.
         attempts = [0] * len(submit_args)

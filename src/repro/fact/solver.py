@@ -509,65 +509,14 @@ class FaCT:
                 telemetry.snapshot_metrics("construction")
                 telemetry.progress("construction", 1, 1, force=True)
             else:
-                # One worker pool serves every parallel stage of this
-                # solve — all construction passes of all retry
-                # attempts, then the Tabu portfolio members. The
-                # dataset ships to each worker process once, at pool
-                # initialization.
-                pool = None
-                if config.n_jobs > 1:
-                    pool = SolverPool(
-                        collection,
-                        constraints,
-                        feasibility.invalid_areas,
-                        config,
-                        max_workers=config.n_jobs,
-                    )
-                try:
-                    construction, attempts = self._construct_with_retries(
-                        collection, constraints, feasibility, budget, pool,
-                        ledger, runtime_perf, telemetry,
-                    )
-                    if certify_level == CertifyLevel.PARANOID:
-                        self._certify(
-                            construction.partition,
-                            collection,
-                            constraints,
-                            budget,
-                            claimed=construction.state.total_heterogeneity(),
-                            label="construction",
-                            runtime_perf=runtime_perf,
-                            telemetry=telemetry,
-                        )
-                    if telemetry.enabled:
-                        telemetry.metrics.absorb_perf(
-                            _merged_perf(construction.state.perf, runtime_perf)
-                        )
-                    telemetry.snapshot_metrics("construction")
-                    telemetry.progress("construction", 1, 1, force=True)
-
-                    tabu = None
-                    partition = construction.partition
-                    if (
-                        config.enable_tabu
-                        and construction.state.p > 0
-                        and budget.status() is None
-                    ):
-                        tabu = improve_portfolio(
-                            construction.state,
-                            config,
-                            objective=self.objective,
-                            budget=budget,
-                            pool=pool,
-                            ranked_labels=construction.ranked_labels,
-                            ledger=ledger,
-                            runtime_perf=runtime_perf,
-                            telemetry=telemetry,
-                        )
-                        partition = tabu.partition
-                finally:
-                    if pool is not None:
-                        pool.shutdown()
+                construction, attempts, tabu = self._construct_and_improve(
+                    collection, constraints, feasibility, budget, ledger,
+                    runtime_perf, telemetry, whole_problem=True,
+                )
+                partition = (
+                    tabu.partition if tabu is not None
+                    else construction.partition
+                )
 
             if telemetry.enabled:
                 telemetry.metrics.absorb_perf(
@@ -695,6 +644,82 @@ class FaCT:
             "certify.solution", label=label, p=partition.p, valid=True
         )
         return certificate
+
+    # ------------------------------------------------------------------
+    # phases 2 and 3
+    # ------------------------------------------------------------------
+    def _construct_and_improve(
+        self,
+        collection: AreaCollection,
+        constraints: ConstraintSet,
+        feasibility: FeasibilityReport,
+        budget: Budget,
+        ledger: SolveLedger | None,
+        runtime_perf: PerfCounters,
+        telemetry,
+        whole_problem: bool,
+    ) -> tuple[
+        ConstructionResult, tuple[ConstructionAttempt, ...], TabuResult | None
+    ]:
+        """Construction under the degenerate-retry policy, then the Tabu
+        portfolio, on one (sub)problem.
+
+        One worker pool serves both phases — all construction passes
+        of all retry attempts, then the portfolio members — so the
+        dataset ships to each worker process once, at pool
+        initialization. For the *whole_problem* the construction is
+        also certified under ``paranoid`` certification and closes the
+        construction phase in the telemetry; a component of a
+        decomposed solve leaves both to the merged answer.
+        """
+        config = self.config
+        with SolverPool(
+            collection,
+            constraints,
+            feasibility.invalid_areas,
+            config,
+            max_workers=config.n_jobs,
+        ) as pool:
+            construction, attempts = self._construct_with_retries(
+                collection, constraints, feasibility, budget, pool,
+                ledger, runtime_perf, telemetry,
+            )
+            if whole_problem:
+                if config.certify_level() == CertifyLevel.PARANOID:
+                    self._certify(
+                        construction.partition,
+                        collection,
+                        constraints,
+                        budget,
+                        claimed=construction.state.total_heterogeneity(),
+                        label="construction",
+                        runtime_perf=runtime_perf,
+                        telemetry=telemetry,
+                    )
+                if telemetry.enabled:
+                    telemetry.metrics.absorb_perf(
+                        _merged_perf(construction.state.perf, runtime_perf)
+                    )
+                telemetry.snapshot_metrics("construction")
+                telemetry.progress("construction", 1, 1, force=True)
+            tabu = None
+            if (
+                config.enable_tabu
+                and construction.state.p > 0
+                and budget.status() is None
+            ):
+                tabu = improve_portfolio(
+                    construction.state,
+                    config,
+                    objective=self.objective,
+                    budget=budget,
+                    pool=pool,
+                    ranked_labels=construction.ranked_labels,
+                    ledger=ledger,
+                    runtime_perf=runtime_perf,
+                    telemetry=telemetry,
+                )
+        return construction, attempts, tabu
 
     # ------------------------------------------------------------------
     # construction retry policy
@@ -840,42 +865,14 @@ class FaCT:
                     if component_span.recording:
                         component_span.set(p=0, status="infeasible")
                     continue
-                pool = None
-                if config.n_jobs > 1:
-                    pool = SolverPool(
-                        sub,
-                        constraints,
-                        sub_feasibility.invalid_areas,
-                        config,
-                        max_workers=config.n_jobs,
-                    )
-                try:
-                    construction, attempts = self._construct_with_retries(
-                        sub, constraints, sub_feasibility, budget, pool,
-                        None, runtime_perf, telemetry,
-                    )
-                    tabu = None
-                    component_partition = construction.partition
-                    if (
-                        config.enable_tabu
-                        and construction.state.p > 0
-                        and budget.status() is None
-                    ):
-                        tabu = improve_portfolio(
-                            construction.state,
-                            config,
-                            objective=self.objective,
-                            budget=budget,
-                            pool=pool,
-                            ranked_labels=construction.ranked_labels,
-                            ledger=None,
-                            runtime_perf=runtime_perf,
-                            telemetry=telemetry,
-                        )
-                        component_partition = tabu.partition
-                finally:
-                    if pool is not None:
-                        pool.shutdown()
+                construction, attempts, tabu = self._construct_and_improve(
+                    sub, constraints, sub_feasibility, budget, None,
+                    runtime_perf, telemetry, whole_problem=False,
+                )
+                component_partition = (
+                    tabu.partition if tabu is not None
+                    else construction.partition
+                )
                 attempts_all.extend(attempts)
                 iterations += construction.iterations
                 runtime_perf.merge(construction.state.perf)

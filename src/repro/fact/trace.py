@@ -3,39 +3,31 @@
 The paper emphasizes that FaCT "reports output statistics to users so
 they are equipped with information about the impact of different
 threshold ranges" (§VII-B3). This module takes that one level deeper:
-:func:`trace_solve` runs the pipeline one step at a time and records a
-snapshot after every phase — feasibility, seeding, Substeps 2.1/2.2/
-2.3, Step 3 and Tabu — so an analyst can see exactly where areas were
-filtered, seeded, absorbed, rescued or given up on:
+:func:`trace_solve` records a snapshot after every phase — feasibility,
+seeding, Substeps 2.1/2.2/2.3, Step 3 and Tabu — so an analyst can see
+exactly where areas were filtered, seeded, absorbed, rescued or given
+up on:
 
     trace = trace_solve(collection, constraints)
     print(trace.format())
 
-Tracing runs a single construction pass (the paper's per-iteration
-view); it reuses the exact same step implementations the solver runs,
-so the trace is the truth, not a re-enactment.
+Tracing is a one-pass :meth:`FaCT.solve <repro.fact.solver.FaCT.solve>`
+(the paper's per-iteration view) under in-memory telemetry: the
+Step 2/3 snapshots are the ``grow``/``enclave``/``extrema``/``adjust``
+span attributes the solver's construction pass records, and the Tabu
+snapshot is the solver's own answer. The trace is the solve, not a
+re-enactment of it.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..core.area import AreaCollection
 from ..core.constraints import ConstraintSet
 from ..core.partition import Partition
-from .adjustment import adjust_counting
+from ..obs.telemetry import SolveTelemetry
 from .config import FaCTConfig
-from .feasibility import check_feasibility
-from .growing import (
-    _assign_enclaves,
-    _AvgClasses,
-    _combine_for_extrema,
-    _initialize_from_seeds,
-)
-from .seeding import select_seeds
-from .state import SolutionState
-from .tabu import tabu_improve
 
 __all__ = ["StepSnapshot", "SolveTrace", "trace_solve"]
 
@@ -76,21 +68,6 @@ class SolveTrace:
     partition: Partition | None = None
     perf: object | None = None
 
-    def record(self, step: str, description: str, state: SolutionState) -> None:
-        """Append a snapshot of *state*."""
-        assigned = sum(len(region) for region in state.iter_regions())
-        self.snapshots.append(
-            StepSnapshot(
-                step=step,
-                description=description,
-                p=state.p,
-                n_assigned=assigned,
-                n_unassigned=state.n_unassigned,
-                n_excluded=len(state.excluded),
-                heterogeneity=state.total_heterogeneity(),
-            )
-        )
-
     def step(self, name: str) -> StepSnapshot:
         """The snapshot recorded for a named step."""
         for snapshot in self.snapshots:
@@ -112,6 +89,18 @@ class SolveTrace:
         return "\n".join(lines)
 
 
+# Construction-pass child spans, in pipeline order, as trace steps.
+_PASS_STEPS = (
+    ("grow", "step2.1 seeding",
+     "in-range seeds to singletons; Algorithm 1 on off-range seeds"),
+    ("enclave", "step2.2 enclaves",
+     "round-1 sweeps + round-2 merges (merge limit {merge_limit})"),
+    ("extrema", "step2.3 extrema", "regions merged to cover all MIN/MAX"),
+    ("adjust", "step3 adjustments",
+     "absorb/swap/merge/trim for SUM-COUNT; infeasible dissolved"),
+)
+
+
 def trace_solve(
     collection: AreaCollection,
     constraints: ConstraintSet,
@@ -119,61 +108,66 @@ def trace_solve(
 ) -> SolveTrace:
     """Run one traced FaCT pass and return the step-by-step record.
 
+    The solve runs *config* with one construction pass, no degenerate
+    retries, one in-process worker and no checkpoint file; its answer
+    is exactly what ``FaCT(config).solve`` returns for such a config.
     Raises :class:`repro.exceptions.InfeasibleProblemError` exactly as
-    the solver would when Phase 1 proves infeasibility.
+    the solver would when the instance is infeasible.
     """
-    config = config or FaCTConfig()
-    trace = SolveTrace()
-    rng = random.Random(config.rng_seed)
+    from .solver import FaCT
 
-    report = check_feasibility(collection, constraints, config)
-    report.raise_if_infeasible()
-    seeding = select_seeds(collection, constraints, report)
-    state = SolutionState(
-        collection, constraints, excluded=report.invalid_areas
+    config = replace(
+        config or FaCTConfig(),
+        construction_iterations=1,
+        construction_retry_attempts=0,
+        n_jobs=1,
+        checkpoint_path=None,
+        decompose_components=False,
     )
-    trace.record(
-        "feasibility",
-        f"{report.n_invalid} invalid areas filtered, "
-        f"{len(seeding.seeds)} seeds marked",
-        state,
-    )
+    telemetry = SolveTelemetry(verbosity=2)
+    solution = FaCT(config).solve(collection, constraints, telemetry=telemetry)
 
-    classes = _AvgClasses(state, constraints.avgs)
-    _initialize_from_seeds(state, seeding, classes, config, rng)
-    trace.record(
-        "step2.1 seeding",
-        "in-range seeds to singletons; Algorithm 1 on off-range seeds",
-        state,
-    )
-    _assign_enclaves(state, classes, config, rng)
-    trace.record(
-        "step2.2 enclaves",
-        "round-1 sweeps + round-2 merges "
-        f"(merge limit {config.merge_limit})",
-        state,
-    )
-    _combine_for_extrema(state)
-    trace.record(
-        "step2.3 extrema", "regions merged to cover all MIN/MAX", state
-    )
-    adjust_counting(state, config, rng)
-    trace.record(
-        "step3 adjustments",
-        "absorb/swap/merge/trim for SUM-COUNT; infeasible dissolved",
-        state,
-    )
+    n_areas = len(collection)
+    n_excluded = solution.feasibility.n_invalid
+    trace = SolveTrace(partition=solution.partition, perf=solution.perf)
 
-    if config.enable_tabu and state.p > 0:
-        result = tabu_improve(state, config)
-        trace.partition = result.partition
-        trace.record(
-            "tabu",
-            f"{result.moves_applied} moves, "
-            f"{result.improvement:.1%} improvement",
-            state,
+    def record(step, description, p, n_unassigned, heterogeneity):
+        # n_unassigned counts valid areas only, like SolutionState's.
+        trace.snapshots.append(
+            StepSnapshot(
+                step=step,
+                description=description,
+                p=p,
+                n_assigned=n_areas - n_excluded - n_unassigned,
+                n_unassigned=n_unassigned,
+                n_excluded=n_excluded,
+                heterogeneity=heterogeneity,
+            )
         )
-    else:
-        trace.partition = state.to_partition()
-    trace.perf = state.perf
+
+    record(
+        "feasibility",
+        f"{n_excluded} invalid areas filtered, "
+        f"{len(solution.construction.seeding.seeds)} seeds marked",
+        0, n_areas - n_excluded, 0.0,
+    )
+    spans = {span["name"]: span for span in telemetry.tracer.finished}
+    for span_name, step, description in _PASS_STEPS:
+        attrs = spans.get(span_name, {}).get("attrs", {})
+        if "heterogeneity" not in attrs:
+            break  # the pass was interrupted before finishing this step
+        record(
+            step,
+            description.format(merge_limit=config.merge_limit),
+            attrs["p"], attrs["n_unassigned"], attrs["heterogeneity"],
+        )
+    tabu = solution.tabu
+    if tabu is not None:
+        record(
+            "tabu",
+            f"{tabu.moves_applied} moves, {tabu.improvement:.1%} improvement",
+            solution.p,
+            solution.n_unassigned - n_excluded,
+            solution.heterogeneity,
+        )
     return trace

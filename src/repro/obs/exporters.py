@@ -170,6 +170,10 @@ _REPORT_ATTRS = (
     "status",
 )
 
+# Span attributes REPRO_PROFILE attaches (see repro.obs.profiling),
+# shown on their own lines under the span: one line per list item.
+_PROFILE_ATTRS = ("tracemalloc_kb", "tracemalloc_peak_kb", "cprofile_top")
+
 
 def render_report(events: list[dict]) -> str:
     """Human-readable timeline: span tree, event summary, phase totals."""
@@ -204,6 +208,12 @@ def render_report(events: list[dict]) -> str:
                 f"+{start * 1000:.1f}ms  {duration * 1000:.1f}ms"
                 + (f"  ({shown})" if shown else "")
             )
+            for key in _PROFILE_ATTRS:
+                values = attrs.get(key)
+                if values is None:
+                    continue
+                for value in values if isinstance(values, list) else [values]:
+                    lines.append(f"{'  ' * (depth + 1)}| {key} {value}")
             _walk(span.get("span_id"), depth + 1)
 
     _walk(None, 0)

@@ -229,6 +229,19 @@ class TestBenchSchema:
             "numpy"
         }
 
+    def test_scaling_keeps_each_datasets_telemetry(self):
+        """Every dataset of a sweep carries its own span and phase
+        summary; no run-wide block stands in for the last dataset."""
+        result = run_scaling(datasets=("2k", "4k"), scale=0.1)
+        assert "telemetry" not in result
+        for name in ("2k", "4k"):
+            block = result["datasets"][name]["telemetry"]
+            assert block["total_spans"] > 0
+            assert "construction" in block["phase_seconds"]
+            # The phases are this dataset's solve, not the sweep's.
+            wall = result["datasets"][name]["backends"]["numpy"]["wall_seconds"]
+            assert sum(block["phase_seconds"].values()) <= wall + 1e-3
+
 
 class TestPerfGate:
     """The scaling perf-regression gate (compare_perf_to_baseline)."""

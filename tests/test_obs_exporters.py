@@ -201,6 +201,31 @@ class TestRenderReport:
         )
         assert "certify [error]" in render_report(events)
 
+    def test_profile_attrs_rendered_under_their_span(self, trace_events):
+        # REPRO_PROFILE attaches these; the report is their only view.
+        profile = {
+            "cprofile_top": [
+                "0.8000s tabu_improve (tabu.py:120)",
+                "0.5000s best_admissible (tabu.py:300)",
+            ],
+            "tracemalloc_kb": 12.5,
+            "tracemalloc_peak_kb": 40.0,
+        }
+        events = list(trace_events)
+        events += _span_pair(
+            "certify", "s4", "s1", 0.9, 1.0, attrs=profile
+        )
+        lines = render_report(events).splitlines()
+        at = next(
+            i for i, line in enumerate(lines) if line.startswith("  certify")
+        )
+        assert lines[at + 1:at + 5] == [
+            "    | tracemalloc_kb 12.5",
+            "    | tracemalloc_peak_kb 40.0",
+            "    | cprofile_top 0.8000s tabu_improve (tabu.py:120)",
+            "    | cprofile_top 0.5000s best_admissible (tabu.py:300)",
+        ]
+
 
 class TestChromeTrace:
     def test_complete_events_with_microsecond_offsets(self, trace_events):

@@ -23,7 +23,7 @@ from repro.data.schema import default_constraints
 from repro.exceptions import SolverInterrupted
 from repro.fact import FaCT, FaCTConfig
 from repro.fact.pool import SolverPool
-from repro.runtime import FaultInjector, RunStatus, inject
+from repro.runtime import FaultInjector, RetryPolicy, RunStatus, inject
 
 pytestmark = pytest.mark.chaos
 
@@ -77,7 +77,8 @@ class TestCollectResilient:
         pool.submit = submit
         perf = PerfCounters()
         results, status = pool.collect_resilient(
-            _double, [(7,)], [(7,)], perf=perf, retries=1
+            _double, [(7,)], [(7,)], perf=perf,
+            retry_policy=RetryPolicy(max_attempts=2),
         )
         assert status is None
         assert results == {0: 14}
@@ -90,7 +91,8 @@ class TestCollectResilient:
         pool.submit = lambda task, *args: _failed(RuntimeError("worker bug"))
         perf = PerfCounters()
         results, status = pool.collect_resilient(
-            _double, [(3,), (4,)], [(3,), (4,)], perf=perf, retries=1
+            _double, [(3,), (4,)], [(3,), (4,)], perf=perf,
+            retry_policy=RetryPolicy(max_attempts=2),
         )
         assert status is None
         # Degraded execution still produces the right answers — the
@@ -115,7 +117,8 @@ class TestCollectResilient:
         pool.submit = submit
         perf = PerfCounters()
         results, status = pool.collect_resilient(
-            _double, [(5,)], [(5,)], perf=perf, retries=1
+            _double, [(5,)], [(5,)], perf=perf,
+            retry_policy=RetryPolicy(max_attempts=2),
         )
         assert status is None
         assert results == {0: 10}
@@ -131,7 +134,7 @@ class TestCollectResilient:
         perf = PerfCounters()
         results, status = pool.collect_resilient(
             _double, [(1,), (2,), (3,)], [(1,), (2,), (3,)],
-            perf=perf, retries=1,
+            perf=perf, retry_policy=RetryPolicy(max_attempts=2),
         )
         assert status is None
         assert results == {0: 2, 1: 4, 2: 6}

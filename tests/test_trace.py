@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ConstraintSet, FaCTConfig, InfeasibleProblemError
+from repro import ConstraintSet, FaCT, FaCTConfig, InfeasibleProblemError
 from repro.core import (
     avg_constraint,
     max_constraint,
@@ -102,44 +102,23 @@ class TestTraceSolve:
         )
 
     def test_span_attrs_match_trace_snapshots(self, census):
-        """Drift regression: the per-step numbers ``trace_solve``
-        snapshots must equal the live telemetry span attributes of a
-        construction pass run with the same seed.
-
-        Both paths share one RNG contract — ``trace_solve`` seeds
-        ``random.Random(config.rng_seed)`` and hands it to the very
-        step functions :func:`construction_pass_task` drives with
-        ``pass_seed`` — so grow/enclave/extrema/adjust must land on
-        identical partitions. If a refactor ever forks the two
-        pipelines, these exact-equality checks catch it.
-        """
-        from repro.fact.feasibility import check_feasibility
-        from repro.fact.pool import SolverPool, construction_pass_task
-        from repro.fact.seeding import select_seeds
-        from repro.obs import Tracer
+        """The per-step numbers equal the span attributes of a traced
+        one-pass ``FaCT.solve`` with the same configuration: Steps 2.1
+        to 3 map onto the pass's grow/enclave/extrema/adjust spans."""
+        from repro.obs import SolveTelemetry
 
         constraints = ConstraintSet(default_constraints())
-        config = FaCTConfig(rng_seed=5, enable_tabu=False)
+        config = FaCTConfig(
+            rng_seed=5,
+            enable_tabu=False,
+            construction_iterations=1,
+            construction_retry_attempts=0,
+        )
         trace = trace_solve(census, constraints, config)
 
-        report = check_feasibility(census, constraints, config)
-        seeding = select_seeds(census, constraints, report)
-        pool = SolverPool(
-            census, constraints, report.invalid_areas, config, max_workers=1
-        )
-        tracer = Tracer()
-        with tracer.span("solve"):
-            result = pool.run_local(
-                construction_pass_task,
-                seeding,
-                config.rng_seed,
-                config,
-                None,
-                None,
-                tracer.context(),
-                0,
-            )
-        spans = {record["name"]: record for record in result[5]}
+        telemetry = SolveTelemetry(verbosity=2)
+        solution = FaCT(config).solve(census, constraints, telemetry=telemetry)
+        spans = {record["name"]: record for record in telemetry.tracer.finished}
         for span_name, step_name in (
             ("grow", "step2.1 seeding"),
             ("enclave", "step2.2 enclaves"),
@@ -151,6 +130,25 @@ class TestTraceSolve:
             assert attrs["p"] == snapshot.p, span_name
             assert attrs["n_unassigned"] == snapshot.n_unassigned, span_name
             assert attrs["heterogeneity"] == snapshot.heterogeneity, span_name
+        assert trace.step("step3 adjustments").p == solution.p
+        assert trace.partition.labels() == solution.partition.labels()
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_tabu_step_matches_solver(self, census, seed):
+        """The trace shows the pass the solver runs: pass 0 on its
+        derived seed, then Tabu on the canonical state, so the traced
+        tabu step reports the solver's own answer."""
+        constraints = ConstraintSet(default_constraints())
+        config = FaCTConfig(
+            rng_seed=seed,
+            construction_iterations=1,
+            construction_retry_attempts=0,
+        )
+        trace = trace_solve(census, constraints, config)
+        solution = FaCT(config).solve(census, constraints)
+        assert trace.step("tabu").heterogeneity == solution.heterogeneity
+        assert trace.step("tabu").p == solution.p
+        assert trace.partition.labels() == solution.partition.labels()
 
     def test_paper_default_narrative(self, census):
         """On the default query the trace shows the canonical arc:
